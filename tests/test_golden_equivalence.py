@@ -3,7 +3,9 @@
 ``tests/data/golden_pre_refactor.json`` holds fixed-seed summary
 metrics (Figure 2 copy bandwidth, Figure 8 single-op latency and
 breakdowns, Figure 9 throughput/latency) captured at the last commit
-before the unified pipeline refactor.  The simulator is deterministic,
+before the unified pipeline refactor, plus Figure 10 application
+summaries and Table 2 line-sweep crash verdicts captured before the
+event core and DMA engine were reduced to one path each.  The simulator is deterministic,
 so the refactored code must reproduce every number **exactly** -- any
 drift means the refactor changed the simulated event order, not just
 the code structure.
@@ -20,7 +22,7 @@ import os
 import pytest
 
 from repro.obs import default_tracing
-from tests.data.capture_golden import fig02, fig08, fig09
+from tests.data.capture_golden import fig02, fig08, fig09, fig10, table2
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "data", "golden_pre_refactor.json")
@@ -57,6 +59,19 @@ def test_fig08_single_op_latency_exact(golden):
 @pytest.mark.slow
 def test_fig09_throughput_latency_exact(golden):
     _assert_exact(fig09(), golden["fig09"], "fig09")
+
+
+@pytest.mark.slow
+def test_fig10_app_summaries_exact(golden):
+    _assert_exact(fig10(), golden["fig10"], "fig10")
+
+
+@pytest.mark.slow
+def test_table2_line_sweep_verdicts_exact(golden):
+    actual = table2()
+    _assert_exact(actual, golden["table2"], "table2")
+    assert all(v["passed"] == v["total_crash_points"] > 0
+               for v in actual.values())
 
 
 # ---------------------------------------------------------------------------
