@@ -35,9 +35,10 @@ file is adopted as the first entry.  Usage::
 and exits 1 when any wall-clock metric regressed by more than
 ``REGRESSION_MAX`` (CI runners are noisy; 1.5x is a real regression,
 not jitter).  Timings are best-of-``--repeat`` to shave scheduling
-noise.  Each report also records the engine microbenchmark under both
-event-queue schedulers (``heap`` and ``wheel``) so the trajectory
-tracks the scheduler gap PR by PR.
+noise.  With numpy installed, each report also times the two crash
+kernels that have a numpy twin (plan replay and the planner's mix
+column) against their pure-Python references, so the trajectory
+records what the numpy kernels buy.
 """
 
 from __future__ import annotations
@@ -89,10 +90,10 @@ def _best_of(repeat, fn):
 # ----------------------------------------------------------------------
 # Section 1: pure engine throughput
 # ----------------------------------------------------------------------
-def bench_engine(events_target: int, scheduler=None) -> dict:
+def bench_engine(events_target: int) -> dict:
     """Events/sec of the bare engine: pooled sleeps across processes."""
     def run():
-        engine = Engine(scheduler=scheduler)
+        engine = Engine()
         per_proc = events_target // 4
 
         def ticker():
@@ -166,90 +167,61 @@ def bench_crash_prune(repeat: int) -> dict:
         return report
 
     wall, report = _best_of(repeat, run)
-    out = {
+    return {
         "wall_s": round(wall, 4),
         "plans": report.total_crash_points,
         "raw_states_log10": round(len(str(report.raw_states)) - 1),
     }
-    if vector.HAVE_NUMPY and vector.ENABLED:
-        # End-to-end A/B for the acceptance headline: the same sweep
-        # with every vectorised kernel forced back to the reference.
-        with vector.forced(False):
-            wall_off, _ = _best_of(repeat, run)
-        out["wall_s_novec"] = round(wall_off, 4)
-        out["vector_speedup"] = round(wall_off / wall, 3) if wall else None
-    return out
 
 
 def bench_vector_kernels(repeat: int) -> dict:
-    """Per-kernel A/B attribution: each vectorised data-plane kernel
-    timed with vectorisation forced on and forced off (same inputs,
-    same process), so the trajectory records where the numpy backend
-    actually pays.  Skipped entirely when numpy is unavailable."""
+    """Per-kernel A/B attribution: each crash kernel with a numpy twin
+    timed against its pure-Python reference (same inputs, same
+    process), so the trajectory records where numpy actually pays.
+    Skipped entirely when numpy is unavailable."""
     if not vector.HAVE_NUMPY:
         return {"skipped": "numpy unavailable"}
 
-    import random
-
-    from repro.analysis.metrics import LatencySeries
+    from repro.crash import linestream as ls
+    from repro.crash import plans as crash_plans
     from repro.crash.crashmonkey import CRASH_WORKLOADS, _record_workload
-    from repro.crash.plans import CrashPlanner
-    from repro.hw import memory as hw_memory
 
-    def ab(fn) -> dict:
-        with vector.forced(True):
-            on, _ = _best_of(repeat, fn)
-        with vector.forced(False):
-            off, _ = _best_of(repeat, fn)
+    def ab(fn_np, fn_ref) -> dict:
+        on, _ = _best_of(repeat, fn_np)
+        off, _ = _best_of(repeat, fn_ref)
         return {"wall_s_on": round(on, 4), "wall_s_off": round(off, 4),
                 "speedup": round(off / on, 3) if on else None}
 
-    out = {}
-
-    # Waterfill: 64-entity allocation, memo cleared per call so the
-    # kernel itself is what's measured.
-    demands = [float(1 + (i % 4)) for i in range(64)]
-    caps = [2.0 + (i % 7) for i in range(64)]
-
-    def run_waterfill():
-        for _ in range(300):
-            hw_memory.clear_waterfill_cache()
-            hw_memory._waterfill(demands, caps, 96.0)
-    out["waterfill"] = ab(run_waterfill)
-
-    # Line-stream kernels on the crash bench's own recording.
+    # Both kernels run on the crash bench's own recording.
     desc, driver, iterations = CRASH_WORKLOADS["generic_056"]
     image, _ = _record_workload("easyio", driver, iterations,
                                 fault_plan=None, lines=True)
     stream = image.linestream
 
-    def run_planner():
-        return CrashPlanner(stream, per_signature=3, seed=0).plans()
-    with vector.forced(True):
-        plans = run_planner()
-    out["planner"] = ab(run_planner)
+    def planner_with(kernel):
+        def run():
+            bound = crash_plans._mix_column
+            crash_plans._mix_column = kernel
+            try:
+                return crash_plans.CrashPlanner(
+                    stream, per_signature=3, seed=0).plans()
+            finally:
+                crash_plans._mix_column = bound
+        return run
 
-    from repro.crash import linestream as ls
+    plans = planner_with(crash_plans._mix_column_np)()
+    out = {"planner": ab(planner_with(crash_plans._mix_column_np),
+                         planner_with(crash_plans._mix_column_ref))}
 
-    def run_replay():
-        stream._vec_index = None
-        for plan in plans:
-            ls.replay_plan(stream, plan)
-    out["replay"] = ab(run_replay)
+    def replay_with(kernel):
+        def run():
+            stream._vec_index = None
+            for plan in plans:
+                kernel(stream, plan)
+        return run
 
-    # Percentiles over a 100k-sample series, queried interleaved.
-    rng = random.Random(11)
-    samples = [rng.randrange(10 ** 9) for _ in range(100_000)]
-
-    def run_percentiles():
-        series = LatencySeries()
-        series.samples.extend(samples)
-        acc = 0.0
-        for p in (50, 90, 99, 99.9):
-            acc += series.percentile(p)
-        series.record(samples[0])
-        return acc + series.p99()
-    out["percentiles"] = ab(run_percentiles)
+    out["replay"] = ab(replay_with(ls._replay_plan_np),
+                       replay_with(ls._replay_plan_ref))
     return out
 
 
@@ -283,8 +255,6 @@ def measure(quick: bool, repeat: int) -> dict:
     events = 100_000 if quick else 400_000
     duration_us, warmup_us = (400, 100) if quick else (1200, 300)
     engine = bench_engine(events)
-    per_scheduler = {name: bench_engine(events, name)
-                     for name in ("heap", "wheel")}
     fig08 = bench_fig08_probe(repeat)
     fig09 = bench_fig09(repeat, duration_us, warmup_us)
     repl = bench_replication(repeat)
@@ -300,14 +270,9 @@ def measure(quick: bool, repeat: int) -> dict:
             "python": _platform.python_version(),
             "numpy": vec_env["numpy"],
             "vector_enabled": vec_env["enabled"],
-            "vector_kill_switch": vec_env["kill_switch"],
         },
         "vector_kernels": bench_vector_kernels(repeat),
         "engine": engine,
-        "engine_by_scheduler": {
-            name: {"events_per_sec": r["events_per_sec"],
-                   "wall_s": r["wall_s"]}
-            for name, r in per_scheduler.items()},
         "figures": {
             "fig08_probe": fig08,
             "fig09_sweep_serial": fig09["fig09_sweep_serial"],

@@ -182,7 +182,7 @@ class LineStream:
 
     def __init__(self):
         self.records: List[Any] = []              # LineStore | FenceRec
-        #: Columnar durability index (vector mode), rebuilt lazily when
+        #: Columnar durability index (numpy kernels), rebuilt lazily when
         #: the stream has grown since it was last derived.
         self._vec_index: Optional["_StreamIndex"] = None
         #: Per-op [start, end) stream positions, appended by the crash
@@ -334,7 +334,7 @@ def _page_lines(data: Any) -> int:
 # Durability analysis
 # ----------------------------------------------------------------------
 class _StreamIndex:
-    """Columnar durability view of one stream prefix (vector mode).
+    """Columnar durability view of one stream prefix (numpy kernels).
 
     ``covered_at[i]`` is the seq of the *first* fence that guarantees
     store ``i`` durable (its own seq for immediate/bookkeeping stores,
@@ -568,18 +568,15 @@ def replay_plan(stream: LineStream, plan) -> PMImage:
     return _replay_plan_kernel(stream, plan)
 
 
-#: Kernels bound by :func:`_rebind_kernels`.
-_base_durable_kernel = _base_durable_ref
-_in_flight_kernel = _in_flight_ref
-_replay_plan_kernel = _replay_plan_ref
-
-
-@vector.register
-def _rebind_kernels(enabled: bool) -> None:
-    global _base_durable_kernel, _in_flight_kernel, _replay_plan_kernel
-    _base_durable_kernel = _base_durable_np if enabled else _base_durable_ref
-    _in_flight_kernel = _in_flight_np if enabled else _in_flight_ref
-    _replay_plan_kernel = _replay_plan_np if enabled else _replay_plan_ref
+#: The numpy kernels when numpy imports, the references otherwise.
+if vector.HAVE_NUMPY:
+    _base_durable_kernel = _base_durable_np
+    _in_flight_kernel = _in_flight_np
+    _replay_plan_kernel = _replay_plan_np
+else:  # pragma: no cover - exercised by the no-numpy CI leg
+    _base_durable_kernel = _base_durable_ref
+    _in_flight_kernel = _in_flight_ref
+    _replay_plan_kernel = _replay_plan_ref
 
 
 def replay_full(stream: LineStream) -> PMImage:

@@ -47,20 +47,26 @@ from repro.crash.linestream import FenceRec, LineStore, LineStream
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
-#: Mirrors ``vector.ENABLED``; when set, the planner gathers its dedup
-#: mix values from a precomputed uint64 column (wraparound multiply ==
-#: ``& _MASK``) instead of hashing seqs one at a time.
-_VEC_ON = False
-
-
-@vector.register
-def _rebind_kernels(enabled: bool) -> None:
-    global _VEC_ON
-    _VEC_ON = enabled
-
-
 def _mix(seq: int) -> int:
     return ((seq + 1) * _MIX) & _MASK
+
+
+def _mix_column_ref(n: int) -> List[int]:
+    """``_mix(seq)`` for every stream position ``seq < n``."""
+    return [_mix(seq) for seq in range(n)]
+
+
+def _mix_column_np(n: int) -> List[int]:
+    """:func:`_mix_column_ref` as one uint64 multiply: the wraparound
+    is exactly the ``& _MASK`` reduction.  Materialised back to a
+    Python list -- the planner looks values up a few at a time, where
+    ndarray fancy indexing costs more than list lookups."""
+    np = vector.numpy()
+    return (np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_MIX)).tolist()
+
+
+#: The numpy kernel when numpy imports, the reference otherwise.
+_mix_column = _mix_column_np if vector.HAVE_NUMPY else _mix_column_ref
 
 
 @dataclass(frozen=True)
@@ -142,15 +148,7 @@ class CrashPlanner:
         pending_dma: Dict[int, List[LineStore]] = {}
         cancelled = self.stream.cancelled
         records = self.stream.records
-        np = vector.numpy() if _VEC_ON else None
-        # Column of _mix(seq) for every stream position: the uint64
-        # wraparound multiply is exactly the `& _MASK` reduction.  The
-        # column is materialised back to a Python list once -- visit()
-        # runs on small in-flight sets where per-call ndarray fancy
-        # indexing costs more than plain list lookups.
-        mix_col = ((np.arange(1, len(records) + 1, dtype=np.uint64)
-                    * np.uint64(_MIX)).tolist()
-                   if np is not None and records else None)
+        mix_col = _mix_column(len(records))
 
         def make_durable(recs: List[LineStore]) -> None:
             nonlocal durable_hash, n_durable
@@ -172,10 +170,7 @@ class CrashPlanner:
             lo = bisect_right(self._ends, point)
             hi = bisect_right(self._starts, point)
             seqs = [r.seq for r in flight]
-            if mix_col is not None:
-                mixes = [mix_col[s] for s in seqs]
-            else:
-                mixes = [_mix(s) for s in seqs]
+            mixes = [mix_col[s] for s in seqs]
             mix_of = dict(zip(seqs, mixes))
             total = sum(mixes)
             flight_sig = ",".join(sorted(f"{r.mech}{'+' if r.dep else ''}"

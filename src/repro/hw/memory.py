@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional
 
-from repro import vector
 from repro.hw.params import CostModel
 from repro.sim import Engine, Event
 
@@ -74,10 +73,6 @@ class PoolFlow:
 _WATERFILL_CACHE: dict = {}
 _WATERFILL_CACHE_MAX = 4096
 
-#: Below this entity count the reference waterfill outruns the numpy
-#: kernel (array construction dominates); the dispatcher delegates.
-VECTOR_MIN_ENTITIES = 16
-
 
 def clear_waterfill_cache() -> None:
     """Empty the global waterfill memo (stats-reset / test isolation)."""
@@ -95,7 +90,7 @@ def _waterfill(demands: List[float], caps: List[float], capacity: float) -> List
     cached = _WATERFILL_CACHE.get(key)
     if cached is not None:
         return cached
-    rates = _waterfill_kernel(demands, caps, capacity)
+    rates = _waterfill_compute(demands, caps, capacity)
     if len(_WATERFILL_CACHE) >= _WATERFILL_CACHE_MAX:
         # Evict the oldest entry (dict preserves insertion order); the
         # steady-state shapes re-enter at the tail and stay resident.
@@ -106,7 +101,7 @@ def _waterfill(demands: List[float], caps: List[float], capacity: float) -> List
 
 def _waterfill_compute(demands: List[float], caps: List[float],
                        capacity: float) -> List[float]:
-    """Reference kernel (pure Python) -- the semantics both modes pin."""
+    """Uncached max-min fair waterfill (see :func:`_waterfill`)."""
     n = len(caps)
     rates = [0.0] * n
     active = list(range(n))
@@ -129,71 +124,6 @@ def _waterfill_compute(demands: List[float], caps: List[float],
             rates[i] = caps[i]
             active.remove(i)
     return rates
-
-
-def _waterfill_compute_np(demands: List[float], caps: List[float],
-                          capacity: float) -> List[float]:
-    """Vector kernel: bit-identical to :func:`_waterfill_compute`.
-
-    Elementwise work (the freeze test, the proportional fill, the
-    frozen-at-cap assignment) runs as whole-array IEEE-754 double ops,
-    which are exactly the scalar ops the reference performs per
-    element.  The two *reductions* whose rounding depends on operand
-    order -- the active-weight total and the frozen-headroom drain --
-    are deliberately performed as sequential left-to-right Python sums
-    over ascending indices, matching the reference's iteration order,
-    so every intermediate double is identical.  See DESIGN.md §15.
-    """
-    np = vector.numpy()
-    n = len(caps)
-    d = np.asarray(demands, dtype=np.float64)
-    c = np.asarray(caps, dtype=np.float64)
-    rates = np.zeros(n, dtype=np.float64)
-    active = np.ones(n, dtype=bool)
-    remaining = capacity
-    while remaining > 1e-12 and active.any():
-        # Sequential sum over ascending active indices == reference.
-        total_weight = sum(d[active].tolist())
-        if total_weight <= 0:
-            break
-        unit = remaining / total_weight
-        headroom = c - rates
-        frozen = active & (headroom <= unit * d + 1e-12)
-        if not frozen.any():
-            rates[active] += unit * d[active]
-            remaining = 0.0
-            break
-        # Drain sequentially in ascending index order == reference.
-        for delta in headroom[frozen].tolist():
-            remaining -= delta
-        rates[frozen] = c[frozen]
-        active &= ~frozen
-    return rates.tolist()
-
-
-def _waterfill_dispatch(demands: List[float], caps: List[float],
-                        capacity: float) -> List[float]:
-    """Vector-mode kernel: numpy above the break-even size, reference
-    below it (both are exact; only the constant factor differs)."""
-    if len(caps) < VECTOR_MIN_ENTITIES:
-        return _waterfill_compute(demands, caps, capacity)
-    return _waterfill_compute_np(demands, caps, capacity)
-
-
-#: The bound waterfill kernel (rebound by :func:`_rebind_kernels`).
-_waterfill_kernel = _waterfill_compute
-#: Mirrors ``vector.ENABLED`` for the _allocate_rates gather path.
-_VECTOR_ON = False
-
-
-@vector.register
-def _rebind_kernels(enabled: bool) -> None:
-    global _waterfill_kernel, _VECTOR_ON
-    _waterfill_kernel = _waterfill_dispatch if enabled else _waterfill_compute
-    _VECTOR_ON = enabled
-    # Memoised outputs are equal in both modes by the parity invariant,
-    # but A/B timing must not serve one mode's results to the other.
-    _WATERFILL_CACHE.clear()
 
 
 class BandwidthPool:
@@ -361,9 +291,6 @@ class BandwidthPool:
                 for flow, rate in zip(flows, rates):
                     flow.rate = rate
                 return
-        if _VECTOR_ON and len(flows) >= VECTOR_MIN_ENTITIES:
-            self._allocate_rates_vec(flows, key)
-            return
         groups: Dict[str, List[PoolFlow]] = {}
         for flow in flows:
             groups.setdefault(flow.group, []).append(flow)
@@ -380,41 +307,6 @@ class BandwidthPool:
                                     [f.cap for f in members], grate)
             for flow, rate in zip(members, flow_rates):
                 flow.rate = rate
-        if key is not None:
-            if len(self._alloc_cache) >= _WATERFILL_CACHE_MAX:
-                self._alloc_cache.clear()
-            self._alloc_cache[key] = [f.rate for f in flows]
-
-    def _allocate_rates_vec(self, flows: List[PoolFlow], key) -> None:
-        """Vector gather path for :meth:`_allocate_rates` (many flows).
-
-        Batches the per-flow cap gathering and rate scatter through one
-        float64 array instead of per-flow Python attribute walks.  The
-        group-cap sums and both waterfill levels run over the *same*
-        sequences in the same order as the reference path (fancy
-        indexing with ascending member indices preserves append order),
-        so every rate is bit-identical.
-        """
-        np = vector.numpy()
-        caps_arr = np.fromiter((f.cap for f in flows),
-                               count=len(flows), dtype=np.float64)
-        members: Dict[str, List[int]] = {}
-        for i, flow in enumerate(flows):
-            members.setdefault(flow.group, []).append(i)
-        counts = {g: len(ix) for g, ix in members.items()}
-        caps = self.group_cap_fn(counts) if self.group_cap_fn else {}
-        names = sorted(members)
-        member_caps = {g: caps_arr[members[g]].tolist() for g in names}
-        group_caps = [min(caps.get(g, math.inf), sum(member_caps[g]))
-                      for g in names]
-        weights = [float(counts[g]) for g in names]
-        group_rates = _waterfill(weights, group_caps, self.capacity)
-        rates_out = np.empty(len(flows), dtype=np.float64)
-        for gname, grate in zip(names, group_rates):
-            mc = member_caps[gname]
-            rates_out[members[gname]] = _waterfill([1.0] * len(mc), mc, grate)
-        for flow, rate in zip(flows, rates_out.tolist()):
-            flow.rate = rate
         if key is not None:
             if len(self._alloc_cache) >= _WATERFILL_CACHE_MAX:
                 self._alloc_cache.clear()

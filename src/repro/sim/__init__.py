@@ -20,13 +20,7 @@ from repro.sim.engine import (
     Timeout,
     WaitTimeout,
 )
-from repro.sim.queues import (
-    DEFAULT_SCHEDULER,
-    SCHEDULERS,
-    EventQueue,
-    PackedHeapQueue,
-    TimingWheelQueue,
-)
+from repro.sim.queues import DEFAULT_SCHEDULER, TimingWheelQueue
 from repro.sim.sync import (
     Barrier,
     Channel,
@@ -43,14 +37,11 @@ __all__ = [
     "DEFAULT_SCHEDULER",
     "Engine",
     "Event",
-    "EventQueue",
     "Gate",
     "Interrupt",
     "Lock",
-    "PackedHeapQueue",
     "Process",
     "RWLock",
-    "SCHEDULERS",
     "Semaphore",
     "SimulationError",
     "Store",

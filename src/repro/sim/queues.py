@@ -1,87 +1,33 @@
-"""Pluggable schedule queues for the simulation engine.
+"""The simulation engine's schedule queue: a hierarchical timing wheel.
 
 The engine's firing order contract is ``(when, schedule-order)``: of
 two scheduled events the earlier ``when`` fires first, and within one
-``when`` the event scheduled first fires first.  Everything else --
-representation, compaction policy, batching -- is an implementation
-choice, so it lives behind the :class:`EventQueue` interface and is
-selected per engine with ``Engine(scheduler=...)``.
+``when`` the event scheduled first fires first.
 
-Two implementations ship:
+:class:`TimingWheelQueue` meets it without sequence numbers: events
+within a near *horizon* live in exact per-timestamp FIFO buckets keyed
+by a min-heap of **distinct** timestamps; events beyond the horizon
+overflow into per-epoch far buckets that cascade into the near
+structure as the clock advances.  Bucket order is schedule order,
+pushes to an existing timestamp are a plain ``list.append``, and the
+engine drains a whole bucket as one batch.  The engine inlines the
+near-window push and the bucket pop on its hot paths (see
+:mod:`repro.sim.engine`), so this class owns the representation and
+the slow paths: far-epoch overflow, cascading, and compaction.
 
-* :class:`PackedHeapQueue` -- the reference implementation: a binary
-  heap of ``(key, event)`` 2-tuples with the integer key
-  ``(when << 40) | seq`` (one C-level int comparison per sift step).
-  ``seq`` is globally unique and bounded below ``2**40`` (guarded), so
-  the int order *is* the ``(when, seq)`` order.
-* :class:`TimingWheelQueue` -- a hierarchical timing wheel / calendar
-  queue: events within a near *horizon* live in exact per-timestamp
-  FIFO buckets keyed by a min-heap of **distinct** timestamps; events
-  beyond the horizon overflow into per-epoch far buckets that cascade
-  into the near structure as the clock advances.  Same-``when`` events
-  need no sequence numbers (bucket order is schedule order), pushes to
-  an existing timestamp are a plain ``list.append``, and the whole
-  bucket drains as one batch -- which is what makes it faster than the
-  heap on the simulator's bursty, clustered timestamp distributions.
-
-Both queues count cancelled entries they still hold and lazily compact
-once the dead dominate the live (see :data:`COMPACT_MIN_DEAD`), so
-cancel-heavy overload runs do not drag dead entries around forever.
-
-Determinism: the two implementations produce byte-identical firing
-schedules -- ``tests/test_sim_queues.py`` pins this down directly and
-the golden-equivalence suite pins it end-to-end.
-
-The process-wide default is :data:`DEFAULT_SCHEDULER` and can be
-overridden with the ``REPRO_SIM_SCHEDULER`` environment variable
-(``heap`` or ``wheel``) -- the CI scheduler matrix runs the test suite
-under both.
+The queue counts the cancelled entries it still holds and lazily
+compacts once the dead dominate the live (see
+:data:`COMPACT_MIN_DEAD`), so cancel-heavy overload runs do not drag
+dead entries around forever.  Compaction only drops cancelled entries;
+it never reorders the survivors.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from typing import List, Optional, Tuple
-
-from repro import vector
+from typing import List, Optional
 
 _CANCELLED = 3  # mirrors repro.sim.engine's event-state constant
-
-#: Mirrors ``vector.ENABLED``; selects the np.sort heap rebuild below.
-_VEC_ON = False
-
-#: Below this many keys the stdlib heapify beats array round-tripping.
-_VECTOR_MIN_KEYS = 16
-
-
-@vector.register
-def _rebind_kernels(enabled: bool) -> None:
-    global _VEC_ON
-    _VEC_ON = enabled
-
-
-def _heapify_ints(values: List[int]) -> List[int]:
-    """Build a min-heap of distinct ints (wheel timestamps / epochs).
-
-    Vector mode returns the ascending np.sort -- a sorted list *is* a
-    valid binary min-heap, and since only pop order is observable (and
-    the keys are distinct), later heappush/heappop behave identically
-    on either layout.  Raw ns timestamps fit int64 comfortably; a
-    hypothetical overflow falls back to the reference heapify.
-    """
-    if _VEC_ON and len(values) >= _VECTOR_MIN_KEYS:
-        np = vector.numpy()
-        try:
-            return np.sort(np.asarray(values, dtype=np.int64)).tolist()
-        except OverflowError:  # pragma: no cover - >2**63 ns timestamps
-            pass
-    heapq.heapify(values)
-    return values
-
-#: Heap keys pack (when, seq) as ``(when << TIME_SHIFT) | seq``.
-TIME_SHIFT = 40
-SEQ_LIMIT = 1 << TIME_SHIFT
 
 #: Compaction policy: rebuild the structure when more than this many
 #: cancelled entries are queued *and* they outnumber the live ones.
@@ -93,125 +39,12 @@ COMPACT_MIN_DEAD = 64
 #: timers overflow.
 WHEEL_HORIZON = 1 << 20
 
-
-class EventQueue:
-    """Interface for engine schedule queues.
-
-    Implementations order events by ``(when, push order)`` and must
-    provide:
-
-    * :meth:`push` -- enqueue a triggered event for ``when`` (never in
-      the past).
-    * :meth:`pop_batch` -- remove and return ``(when, events)`` for the
-      earliest ``when <= limit``, with *every* queued event at that
-      timestamp in push order, or None.  Returned lists may contain
-      cancelled entries; the caller skips them.
-    * :meth:`peek_when` -- earliest queued timestamp, or None.
-    * :meth:`note_cancelled` -- a queued event was cancelled in place;
-      the queue may compact lazily.
-    * ``len(queue)`` -- queued entries, including cancelled ones.
-
-    ``stats`` (an :class:`~repro.sim.engine.EngineStats`) is attached
-    by the engine; implementations bump ``heap_compactions`` on every
-    lazy rebuild.
-    """
-
-    name = "abstract"
-
-    stats = None
-
-    def push(self, event, when: int) -> None:
-        raise NotImplementedError
-
-    def pop_batch(self, limit: int) -> Optional[Tuple[int, list]]:
-        raise NotImplementedError
-
-    def peek_when(self) -> Optional[int]:
-        raise NotImplementedError
-
-    def note_cancelled(self, event) -> None:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
+#: Name of the schedule queue, recorded in benchmark provenance.  There
+#: is only one; the constant is kept for readers of that provenance.
+DEFAULT_SCHEDULER = "wheel"
 
 
-class PackedHeapQueue(EventQueue):
-    """The reference queue: a binary heap of packed-int-keyed entries."""
-
-    name = "heap"
-
-    __slots__ = ("_heap", "_seq", "_dead", "stats")
-
-    def __init__(self):
-        self._heap: List[tuple] = []
-        self._seq = 0
-        #: Cancelled entries still sitting in the heap.
-        self._dead = 0
-        self.stats = None
-
-    def push(self, event, when: int) -> None:
-        seq = self._seq + 1
-        if seq >= SEQ_LIMIT:  # pragma: no cover - 2**40 events
-            from repro.sim.engine import SimulationError
-            raise SimulationError("event sequence space exhausted")
-        self._seq = seq
-        heapq.heappush(self._heap, ((when << TIME_SHIFT) | seq, event))
-
-    def pop_batch(self, limit: int) -> Optional[Tuple[int, list]]:
-        heap = self._heap
-        while heap:
-            key, event = heap[0]
-            when = key >> TIME_SHIFT
-            if when > limit:
-                return None
-            if event._state == _CANCELLED:
-                # Withdrawn after scheduling: drop without firing.
-                heapq.heappop(heap)
-                self._dead -= 1
-                continue
-            heapq.heappop(heap)
-            batch = [event]
-            # Batch firing: drain every event scheduled for this same
-            # instant in one dispatch (they are contiguous at the heap
-            # top because the seq bits sit below the time bits).
-            limit_key = ((when + 1) << TIME_SHIFT)
-            while heap and heap[0][0] < limit_key:
-                batch.append(heapq.heappop(heap)[1])
-            return when, batch
-        return None
-
-    def peek_when(self) -> Optional[int]:
-        heap = self._heap
-        while heap:
-            key, event = heap[0]
-            if event._state != _CANCELLED:
-                return key >> TIME_SHIFT
-            heapq.heappop(heap)
-            self._dead -= 1
-        return None
-
-    def note_cancelled(self, event) -> None:
-        dead = self._dead + 1
-        self._dead = dead
-        if dead > COMPACT_MIN_DEAD and dead * 2 > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without its cancelled entries (in place, so
-        any loop holding the list keeps seeing the same object)."""
-        heap = self._heap
-        heap[:] = [entry for entry in heap if entry[1]._state != _CANCELLED]
-        heapq.heapify(heap)
-        self._dead = 0
-        if self.stats is not None:
-            self.stats.heap_compactions += 1
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-class TimingWheelQueue(EventQueue):
+class TimingWheelQueue:
     """Hierarchical timing wheel: exact near buckets, far-epoch overflow.
 
     *Near* events (``when < epoch_end``) live in ``_buckets``, a dict
@@ -228,9 +61,16 @@ class TimingWheelQueue(EventQueue):
     cascade preserves FIFO order per timestamp (bucket lists move
     wholesale) and the near/far split preserves global order because
     every far timestamp is >= ``epoch_end`` > every near timestamp.
-    """
 
-    name = "wheel"
+    ``_dead`` counts the cancelled entries still queued: the engine
+    decrements it as its run loop drops each one, and compaction resets
+    it.  An entry cancelled after the engine popped its batch is counted
+    too but is no longer queued; the run loop's decrement (floored at
+    zero) absorbs it, so such a count can only delay a compaction, and
+    at most until the next one.  ``stats`` (an
+    :class:`~repro.sim.engine.EngineStats`) is attached by the engine;
+    every compaction bumps its ``heap_compactions``.
+    """
 
     __slots__ = ("_buckets", "_whens", "_far", "_far_epochs", "_epoch_end",
                  "_horizon", "_len", "_dead", "stats")
@@ -249,6 +89,7 @@ class TimingWheelQueue(EventQueue):
         self.stats = None
 
     def push(self, event, when: int) -> None:
+        """Enqueue a triggered event for ``when`` (never in the past)."""
         self._len += 1
         if when < self._epoch_end:
             bucket = self._buckets.get(when)
@@ -280,31 +121,20 @@ class TimingWheelQueue(EventQueue):
                 # Near timestamps are all < the old epoch_end and far
                 # ones all >= it, so the dicts are disjoint.
                 self._buckets.update(sub)
-                self._whens = _heapify_ints(list(self._buckets))
+                self._whens = list(self._buckets)
+                heapq.heapify(self._whens)
                 return True
         return False
 
-    def pop_batch(self, limit: int) -> Optional[Tuple[int, list]]:
-        whens = self._whens
-        while not whens:
-            if not self._cascade():
-                return None
-            whens = self._whens
-        when = whens[0]
-        if when > limit:
-            return None
-        heapq.heappop(whens)
-        batch = self._buckets.pop(when)
-        self._len -= len(batch)
-        return when, batch
-
     def peek_when(self) -> Optional[int]:
+        """Earliest queued timestamp, or None when nothing is queued."""
         while not self._whens:
             if not self._cascade():
                 return None
         return self._whens[0]
 
     def note_cancelled(self, event) -> None:
+        """A queued event was cancelled in place; compact lazily."""
         dead = self._dead + 1
         self._dead = dead
         if dead > COMPACT_MIN_DEAD and dead * 2 > self._len:
@@ -320,7 +150,8 @@ class TimingWheelQueue(EventQueue):
                 buckets[when] = kept
                 live += len(kept)
         self._buckets = buckets
-        self._whens = _heapify_ints(list(buckets))
+        self._whens = list(buckets)
+        heapq.heapify(self._whens)
         far = {}
         for epoch, sub in self._far.items():
             kept_sub = {}
@@ -332,40 +163,13 @@ class TimingWheelQueue(EventQueue):
             if kept_sub:
                 far[epoch] = kept_sub
         self._far = far
-        self._far_epochs = _heapify_ints(list(far))
+        self._far_epochs = list(far)
+        heapq.heapify(self._far_epochs)
         self._len = live
         self._dead = 0
         if self.stats is not None:
             self.stats.heap_compactions += 1
 
     def __len__(self) -> int:
+        """Queued entries, including cancelled ones."""
         return self._len
-
-
-#: name -> implementation, for ``Engine(scheduler="...")``.
-SCHEDULERS = {
-    PackedHeapQueue.name: PackedHeapQueue,
-    TimingWheelQueue.name: TimingWheelQueue,
-}
-
-#: The process-wide default scheduler.  The wheel is the default: it is
-#: byte-equivalent to the heap (golden-pinned) and faster on the hot
-#: paths; set REPRO_SIM_SCHEDULER=heap to fall back to the reference.
-DEFAULT_SCHEDULER = os.environ.get("REPRO_SIM_SCHEDULER", "wheel")
-
-
-def make_queue(scheduler=None) -> EventQueue:
-    """Resolve ``scheduler`` (None, a name, a class, or an instance)."""
-    if scheduler is None:
-        scheduler = DEFAULT_SCHEDULER
-    if isinstance(scheduler, EventQueue):
-        return scheduler
-    if isinstance(scheduler, type) and issubclass(scheduler, EventQueue):
-        return scheduler()
-    try:
-        cls = SCHEDULERS[scheduler]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}; choose from "
-            f"{sorted(SCHEDULERS)} or pass an EventQueue") from None
-    return cls()

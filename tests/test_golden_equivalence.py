@@ -99,75 +99,6 @@ def test_fig09_parallel_runner_exact(golden):
 
 
 # ---------------------------------------------------------------------------
-# Event-core configurations: the packed-heap reference scheduler, the
-# timing wheel, and the wheel with macro-op DMA aggregation must all
-# reproduce the goldens bit for bit.  (The ambient default -- wheel +
-# macro-ops -- is what every other test in this file runs under.)
-# ---------------------------------------------------------------------------
-EVENT_CORE_CONFIGS = [
-    ("heap", False), ("heap", True), ("wheel", False), ("wheel", True),
-]
-
-
-@pytest.fixture(params=EVENT_CORE_CONFIGS,
-                ids=[f"{s}{'+macro' if m else ''}"
-                     for s, m in EVENT_CORE_CONFIGS])
-def event_core(request, monkeypatch):
-    scheduler, macro_ops = request.param
-    import repro.hw.dma as dma
-    import repro.sim.queues as queues
-    monkeypatch.setattr(queues, "DEFAULT_SCHEDULER", scheduler)
-    monkeypatch.setattr(dma, "DMA_MACRO_OPS", macro_ops)
-    return request.param
-
-
-@pytest.mark.slow
-def test_fig08_exact_under_event_core_matrix(golden, event_core):
-    _assert_exact(fig08(), golden["fig08"], f"fig08[{event_core}]")
-
-
-@pytest.mark.slow
-def test_fig09_point_exact_under_event_core_matrix(golden, event_core):
-    from repro.analysis.sweep import fxmark_point
-    from repro.workloads.fxmark import FxmarkConfig
-    cfg = FxmarkConfig(kind="easyio", op="write", io_size=16384,
-                       workers=4, duration_us=1200, warmup_us=300)
-    actual = fxmark_point(cfg)
-    _assert_exact(actual, golden["fig09"]["write/easyio/4"],
-                  f"fig09[write/easyio/4][{event_core}]")
-
-
-@pytest.mark.slow
-def test_macro_ops_engage_on_steady_state(event_core):
-    # Guard against silently testing the classic path four times: when
-    # macro-ops are enabled the easyio DMA write path must actually use
-    # the aggregated chain.
-    from repro.hw.platform import Platform
-    from repro.workloads.fxmark import FxmarkConfig, run_fxmark
-    scheduler, macro_ops = event_core
-    counts = []
-    orig_init = Platform.__init__
-    def spying_init(self, *a, **kw):
-        orig_init(self, *a, **kw)
-        counts.append(self.dma.channels)
-    Platform.__init__ = spying_init
-    try:
-        run_fxmark(FxmarkConfig(kind="easyio", op="write", io_size=16384,
-                                workers=2, duration_us=300, warmup_us=100))
-    finally:
-        Platform.__init__ = orig_init
-    aggregated = sum(ch.descriptors_aggregated
-                     for chans in counts for ch in chans)
-    completed = sum(ch.descriptors_completed
-                    for chans in counts for ch in chans)
-    assert completed > 0
-    if macro_ops:
-        assert aggregated == completed
-    else:
-        assert aggregated == 0
-
-
-# ---------------------------------------------------------------------------
 # Tracing is sim-time neutral: with a tracer attached to every engine
 # the fixed-seed summaries still match the goldens *exactly* -- the
 # tracer only appends to a buffer, it never perturbs the simulation.

@@ -1,50 +1,31 @@
-"""Scheduler edge cases, parametrized over both EventQueue implementations.
+"""Schedule-queue edge cases for the engine's timing wheel.
 
-The engine's firing-order contract is ``(when, schedule-order)``; the
-packed heap and the timing wheel must be indistinguishable through it.
-These tests drive the corners where the two representations differ
-most: same-timestamp FIFO runs, cancel-heavy compaction, far-future
-wheel overflow (epoch cascading), and zero-delay self-rescheduling.
+The engine's firing-order contract is ``(when, schedule-order)``.
+These tests drive the corners of the wheel's representation:
+same-timestamp FIFO runs, cancel-heavy compaction and its dead-entry
+count, far-future overflow (epoch cascading), and zero-delay
+self-rescheduling; a seeded random schedule is checked against a
+``(when, schedule-order)`` sort.
 """
 
+import itertools
 import random
 
 import pytest
 
-from repro.sim import Engine, PackedHeapQueue, TimingWheelQueue
-from repro.sim.queues import WHEEL_HORIZON, make_queue
-
-SCHEDULERS = ("heap", "wheel")
-
-
-@pytest.fixture(params=SCHEDULERS)
-def scheduler(request):
-    return request.param
+from repro.sim import Engine
+from repro.sim.queues import COMPACT_MIN_DEAD, WHEEL_HORIZON
 
 
 @pytest.fixture
-def engine(scheduler):
-    return Engine(scheduler=scheduler)
+def engine():
+    return Engine()
 
 
 def run_proc(engine, gen):
     proc = engine.process(gen)
     engine.run()
     return proc
-
-
-class TestSelection:
-    def test_scheduler_property_reports_choice(self, scheduler):
-        assert Engine(scheduler=scheduler).scheduler == scheduler
-
-    def test_make_queue_accepts_class_and_instance(self):
-        assert isinstance(make_queue(PackedHeapQueue), PackedHeapQueue)
-        wheel = TimingWheelQueue(horizon=128)
-        assert make_queue(wheel) is wheel
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            Engine(scheduler="calendar-of-lies")
 
 
 class TestSameTimestampFifo:
@@ -103,8 +84,7 @@ class TestCancelHeavyCompaction:
         run_proc(engine, body())
         assert fired == [0, 1, 2, 3, 4]
 
-    def test_far_future_cancellations_compact_too(self, scheduler):
-        engine = Engine(scheduler=scheduler)
+    def test_far_future_cancellations_compact_too(self, engine):
         def body():
             for i in range(2000):
                 engine.timeout(10 * WHEEL_HORIZON + i).cancel()
@@ -183,27 +163,75 @@ class TestZeroDelaySelfReschedule:
         assert order == ["a", "b"] * 3
 
 
-class TestCrossImplementationEquivalence:
-    def test_random_schedules_fire_identically(self):
-        def trace(scheduler):
-            engine = Engine(scheduler=scheduler)
-            rng = random.Random(1234)
-            fired = []
-            def waiter(i, delay, respawn):
-                yield engine.timeout(delay)
-                fired.append((i, engine.now))
+class TestDeadCount:
+    """Cancelled entries leave the dead count when they leave the queue,
+    so compaction only fires when there is something to compact."""
+
+    @pytest.mark.parametrize("make_timer", ["timeout", "sleep"])
+    def test_dropped_cancellations_trigger_no_compaction(self, engine,
+                                                         make_timer):
+        # "sleep" covers the run loop's cancelled-pooled-timer branch.
+        for _ in range(3):
+            engine.timeout(1_000_000_000)  # live, far off
+        for _ in range(300):
+            getattr(engine, make_timer)(5).cancel()
+            engine.run(until=engine.now + 10)
+        assert engine.stats.heap_compactions == 0
+        assert engine._wheel._dead == 0
+        assert engine.heap_size == 3
+
+    def test_in_batch_cancellations_balance_out(self, engine):
+        # One event cancels the rest of its own batch: the victims are
+        # counted dead after they left the queue, so they may trigger a
+        # compaction with nothing to evict -- but only one per
+        # COMPACT_MIN_DEAD of them, and the count ends at zero.
+        first = engine.timeout(50)
+        victims = [engine.timeout(50) for _ in range(200)]
+        first.add_callback(lambda _ev: [v.cancel() for v in victims])
+        engine.timeout(10**9)
+        engine.run(until=100)
+        assert engine.stats.events_fired == 1
+        assert engine.stats.heap_compactions <= 200 // COMPACT_MIN_DEAD
+        assert engine._wheel._dead == 0
+        assert engine.heap_size == 1
+
+
+class TestRandomSchedules:
+    def test_random_schedules_fire_in_when_then_schedule_order(self, engine):
+        # Oracle: every timer that is not cancelled fires, in the order
+        # of its (when, schedule-order) key.
+        rng = random.Random(1234)
+        seq = itertools.count()
+        key = {}
+        pending = []
+        fired = []
+
+        def schedule(label, delay, respawn):
+            ev = engine.timeout(delay)
+            key[label] = (engine.now + delay, next(seq))
+            pending.append((label, ev))
+
+            def fire(_ev):
+                fired.append(label)
                 if respawn:
-                    engine.process(waiter(i + 1000, rng.randrange(0, 3000),
-                                          False))
-            cancels = []
-            for i in range(300):
-                delay = rng.choice((0, 1, 7, 100, 100, 2048,
-                                    WHEEL_HORIZON + 13, 3 * WHEEL_HORIZON))
-                engine.process(waiter(i, delay, rng.random() < 0.3))
-                if rng.random() < 0.2:
-                    cancels.append(engine.timeout(rng.randrange(1, 5000)))
-            for t in cancels[::2]:
-                t.cancel()
-            engine.run()
-            return fired
-        assert trace("heap") == trace("wheel")
+                    schedule(label + 1000, rng.randrange(0, 3000), False)
+                if rng.random() < 0.1:
+                    # Cancel a still-queued timer, possibly one due at
+                    # this very instant.
+                    victim, vev = pending[rng.randrange(len(pending))]
+                    if not vev.processed and vev.cancel():
+                        del key[victim]
+            ev.add_callback(fire)
+            return ev
+
+        for i in range(300):
+            delay = rng.choice((0, 1, 7, 100, 100, 2048,
+                                WHEEL_HORIZON + 13, 3 * WHEEL_HORIZON))
+            schedule(i, delay, rng.random() < 0.3)
+        for label, ev in pending[::7]:
+            ev.cancel()
+            del key[label]
+        engine.run()
+        assert fired == sorted(key, key=key.get)
+        assert engine._wheel._dead == 0
+        assert engine.heap_size == 0

@@ -1,113 +1,44 @@
-"""Vectorised-vs-reference kernel parity (DESIGN.md §15).
+"""Numpy-vs-reference crash kernel parity (DESIGN.md §15).
 
-Every numpy-backed kernel must produce *identical* outputs to its
-pure-Python reference -- not approximately equal: the golden suites
-compare byte-exact artifacts, so a single ULP of drift anywhere in the
-data plane would show up as a golden mismatch.  These tests fuzz each
-kernel pair directly over seeded randomized inputs, including the
-empty/single-element/degenerate shapes, and pin the mode-selection
-switchboard itself.
+The line-stream durability/replay kernels and the planner's mix column
+each have a numpy twin, bound at import when numpy imports.  The twin
+must produce *identical* outputs to its pure-Python reference -- the
+crash suites compare exact verdicts, so any drift would show.  These
+tests call both kernels of each pair directly over seeded randomized
+inputs, including the empty and degenerate shapes.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro import vector
-from repro.analysis.metrics import LatencySeries
 from repro.crash import linestream as ls
+from repro.crash import plans
 from repro.crash.plans import CrashPlanner
-from repro.hw import memory as hw_memory
 
 needs_numpy = pytest.mark.skipif(not vector.HAVE_NUMPY,
                                  reason="numpy not installed")
 
 
 class TestSwitchboard:
-    def test_kill_switch_disables_at_import(self):
-        # REPRO_VECTOR is read at import time: a fresh interpreter with
-        # the kill switch set must come up in reference mode even with
-        # numpy installed.
-        import os
-        import subprocess
-        import sys
-        env = dict(os.environ, REPRO_VECTOR="0",
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from repro import vector; "
-             "print(vector.ENABLED, vector._KILLED)"],
-            env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["False", "True"]
-
-    def test_set_enabled_without_numpy_stays_reference(self):
-        if vector.HAVE_NUMPY:
-            pytest.skip("numpy installed: cannot exercise the fallback")
-        assert not vector.ENABLED
-        assert vector.set_enabled(True) is False
-        assert not vector.ENABLED
-
-    @needs_numpy
-    def test_forced_restores_previous_mode(self):
-        before = vector.ENABLED
-        with vector.forced(not before):
-            assert vector.ENABLED == (not before)
-            with vector.forced(before):
-                assert vector.ENABLED == before
-            assert vector.ENABLED == (not before)
-        assert vector.ENABLED == before
+    """The kernels bound at import: the references must stand alone."""
 
     def test_reference_kernels_run_without_vector_mode(self):
-        # The fallback is first-class: everything must work in
-        # reference mode whether or not numpy exists.
-        with vector.forced(False):
-            assert hw_memory._waterfill_kernel is hw_memory._waterfill_compute
-            rates = hw_memory._waterfill_compute([1.0, 2.0], [5.0, 5.0], 6.0)
-            assert sum(rates) == pytest.approx(6.0)
-            s = LatencySeries()
-            for v in (5, 1, 9):
-                s.record(v)
-            assert s.p50() == 5.0
-
-
-class TestWaterfillParity:
-    @needs_numpy
-    def test_seeded_random_shapes(self):
-        rng = random.Random(0xA11C)
-        for trial in range(400):
-            n = rng.choice([0, 1, 2, 3, 7, 15, 16, 17, 33, 64, 200])
-            demands = [rng.choice([1.0, 2.0, 0.5, float(rng.randint(1, 9))])
-                       for _ in range(n)]
-            caps = [rng.uniform(1e-6, 20.0) for _ in range(n)]
-            capacity = rng.choice([0.0, 1e-13, rng.uniform(0.01, 100.0)])
-            ref = hw_memory._waterfill_compute(demands, caps, capacity)
-            vec = hw_memory._waterfill_compute_np(demands, caps, capacity)
-            assert ref == vec, (trial, n, capacity)
-            assert hw_memory._waterfill_dispatch(demands, caps,
-                                                 capacity) == ref
-
-    @needs_numpy
-    def test_degenerate_shapes(self):
-        cases = [
-            ([], [], 5.0),                       # no entities
-            ([1.0], [3.0], 5.0),                 # single, capacity-rich
-            ([1.0], [3.0], 0.0),                 # nothing to allocate
-            ([0.0, 0.0], [1.0, 1.0], 5.0),       # zero total weight
-            ([1.0] * 20, [0.0] * 20, 5.0),       # everyone capped at 0
-            ([1.0] * 20, [1e-9] * 20, 1e9),      # instant freeze-all
-        ]
-        for demands, caps, capacity in cases:
-            assert hw_memory._waterfill_compute(demands, caps, capacity) \
-                == hw_memory._waterfill_compute_np(demands, caps, capacity)
-
-    @needs_numpy
-    def test_memo_serves_identical_rates_across_modes(self):
-        demands, caps, capacity = [1.0] * 24, [2.0] * 24, 10.0
-        with vector.forced(True):
-            a = hw_memory._waterfill(demands, caps, capacity)
-        with vector.forced(False):
-            b = hw_memory._waterfill(demands, caps, capacity)
-        assert a == b
+        # The fallback is first-class: without numpy the reference
+        # kernels are bound, so they must work on their own.
+        stream = ls.LineStream()
+        stream.page_write(1, b"x" * 64)
+        stream.pages_fence()
+        stream.page_write(2, b"y" * 64)
+        end = stream.position()
+        assert ls._base_durable_ref(stream, end) == {0}
+        assert [r.seq for r in ls._in_flight_ref(stream, end)] == [2]
+        plan = SimpleNamespace(point=end, applied=frozenset({2}),
+                               partials=())
+        assert set(ls._replay_plan_ref(stream, plan).pages) == {1, 2}
+        assert plans._mix_column_ref(3) == [plans._mix(s) for s in range(3)]
 
 
 def _synth_stream(rng: random.Random) -> ls.LineStream:
@@ -199,7 +130,6 @@ class TestLineStreamParity:
                     for r in flight
                     if r.nlines > 1 and r.klass in ("data", "record")
                     and rng.random() < 0.3)
-                from types import SimpleNamespace
                 plan = SimpleNamespace(point=pt, applied=applied,
                                        partials=partials)
                 a = _img_state(ls._replay_plan_ref(stream, plan))
@@ -207,22 +137,27 @@ class TestLineStreamParity:
                 assert a == b, (trial, pt)
 
     def test_replay_full_identical_both_modes(self):
+        # The no-crash plan replay_full builds, through each kernel.
         rng = random.Random(7)
         for _ in range(5):
             stream = _synth_stream(rng)
-            with vector.forced(True):
-                a = _img_state(ls.replay_full(stream))
-            with vector.forced(False):
-                b = _img_state(ls.replay_full(stream))
+            end = stream.position()
+            plan = SimpleNamespace(
+                point=end, partials={},
+                applied=frozenset(s.seq for s in
+                                  ls._in_flight_ref(stream, end)))
+            a = _img_state(ls._replay_plan_ref(stream, plan))
+            b = _img_state(ls._replay_plan_np(stream, plan))
             assert a == b
+            assert a == _img_state(ls.replay_full(stream))
 
     def test_empty_stream(self):
         stream = ls.LineStream()
         assert ls._base_durable_ref(stream, 0) \
             == ls._base_durable_np(stream, 0) == set()
         assert ls._in_flight_np(stream, 0) == []
-        with vector.forced(True):
-            img = ls.replay_full(stream)
+        plan = SimpleNamespace(point=0, applied=frozenset(), partials={})
+        img = ls._replay_plan_np(stream, plan)
         assert not img.pages and not img.logs
 
     def test_index_invalidated_by_stream_growth(self):
@@ -252,80 +187,26 @@ class TestLineStreamParity:
 
 @needs_numpy
 class TestPlannerParity:
-    def test_identical_plan_lists_on_seeded_streams(self):
+    def test_mix_column_kernels_identical(self):
+        for n in (0, 1, 2, 63, 64, 1000):
+            assert plans._mix_column_ref(n) == plans._mix_column_np(n), n
+
+    def test_identical_plan_lists_on_seeded_streams(self, monkeypatch):
+        def plan_with(kernel, stream, **kw):
+            monkeypatch.setattr(plans, "_mix_column", kernel)
+            planner = CrashPlanner(stream, **kw)
+            return planner, planner.plans()
+
         rng = random.Random(0xCAFE)
         for trial in range(10):
             stream = _synth_stream(rng)
             for per_sig, budget in ((3, None), (None, None), (2, 20)):
-                with vector.forced(True):
-                    pa = CrashPlanner(stream, per_signature=per_sig,
-                                      budget=budget, seed=trial)
-                    a = pa.plans()
-                with vector.forced(False):
-                    pb = CrashPlanner(stream, per_signature=per_sig,
-                                      budget=budget, seed=trial)
-                    b = pb.plans()
+                kw = dict(per_signature=per_sig, budget=budget, seed=trial)
+                pa, a = plan_with(plans._mix_column_np, stream, **kw)
+                pb, b = plan_with(plans._mix_column_ref, stream, **kw)
                 assert (pa.raw_states, pa.positions) \
                     == (pb.raw_states, pb.positions)
                 assert [(p.point, p.cls, p.applied, p.partials, p.lo,
                          p.hi, p.signature) for p in a] \
                     == [(p.point, p.cls, p.applied, p.partials, p.lo,
                          p.hi, p.signature) for p in b], trial
-
-
-class TestPercentileParity:
-    @needs_numpy
-    def test_seeded_random_series(self):
-        rng = random.Random(0xFEED)
-        for trial in range(150):
-            n = rng.choice([0, 1, 2, 3, 64, 65, 100, 1000])
-            samples = [rng.randint(0, 10 ** rng.choice([3, 9, 12]))
-                       for _ in range(n)]
-            ps = ([rng.uniform(1e-6, 100.0) for _ in range(6)]
-                  + [50.0, 99.0, 100.0])
-            with vector.forced(False):
-                r = LatencySeries()
-                r.samples.extend(samples)
-                ref = [r.percentile(p) for p in ps] + [r.mean(),
-                                                       r.maximum()]
-            with vector.forced(True):
-                v = LatencySeries()
-                v.samples.extend(samples)
-                vec = [v.percentile(p) for p in ps] + [v.mean(),
-                                                       v.maximum()]
-            assert ref == vec, trial
-
-    @needs_numpy
-    def test_interleaved_tail_merge_path(self):
-        rng = random.Random(5)
-        with vector.forced(True):
-            s = LatencySeries()
-            mirror = []
-            for step in range(200):
-                val = rng.randrange(10 ** 9)
-                s.record(val)
-                mirror.append(val)
-                if step % 3 == 0:
-                    # Queries between appends: exercises the
-                    # searchsorted tail merge on the ndarray view.
-                    assert s.percentile(100) == float(max(mirror))
-                    with vector.forced(False):
-                        r = LatencySeries()
-                        r.samples.extend(mirror)
-                        assert s.p50() == r.p50()
-                        assert s.p99() == r.p99()
-
-    @needs_numpy
-    def test_oversized_samples_fall_back_to_reference(self):
-        # Samples beyond int64 force the object-dtype fallback; results
-        # must still match the reference exactly.
-        huge = [2 ** 70, 1, 2 ** 80, 7]
-        with vector.forced(True):
-            v = LatencySeries()
-            v.samples.extend(huge)
-            a = (v.p50(), v.percentile(100))
-        with vector.forced(False):
-            r = LatencySeries()
-            r.samples.extend(huge)
-            b = (r.p50(), r.percentile(100))
-        assert a == b
