@@ -250,7 +250,7 @@ class Event:
         if state == _TRIGGERED:
             # The entry stays in the schedule queue; the queue counts
             # it and compacts lazily once dead entries dominate.
-            engine._wheel.note_cancelled(self)
+            engine._wheel.note_cancelled()
         return True
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -543,8 +543,7 @@ class Engine:
         # _stats on the sleep() hot path) and synced into _stats by the
         # `stats` property.
         self._sleeps_reused = 0
-        wheel = TimingWheelQueue()
-        wheel.stats = self._stats
+        wheel = TimingWheelQueue(self._stats)
         self._wheel = wheel
         # Bound push method: the one-attribute-load schedule call used
         # by _schedule and the far-window fallbacks of succeed / sleep.

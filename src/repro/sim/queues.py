@@ -55,7 +55,7 @@ class TimingWheelQueue:
     hit plus a list append.
 
     *Far* events overflow into ``_far``: per-epoch dicts of the same
-    shape (epoch = ``when // horizon``).  When the near structure
+    shape (epoch = ``when // WHEEL_HORIZON``).  When the near structure
     drains, the earliest far epoch cascades: its buckets become the
     near buckets and ``epoch_end`` advances to the epoch's end.  The
     cascade preserves FIFO order per timestamp (bucket lists move
@@ -67,26 +67,22 @@ class TimingWheelQueue:
     it.  An entry cancelled after the engine popped its batch is counted
     too but is no longer queued; the run loop's decrement (floored at
     zero) absorbs it, so such a count can only delay a compaction, and
-    at most until the next one.  ``stats`` (an
-    :class:`~repro.sim.engine.EngineStats`) is attached by the engine;
-    every compaction bumps its ``heap_compactions``.
+    at most until the next one.  Every compaction bumps the owning
+    engine's ``stats.heap_compactions``.
     """
 
     __slots__ = ("_buckets", "_whens", "_far", "_far_epochs", "_epoch_end",
-                 "_horizon", "_len", "_dead", "stats")
+                 "_len", "_dead", "_stats")
 
-    def __init__(self, horizon: int = WHEEL_HORIZON):
-        if horizon < 1:
-            raise ValueError(f"wheel horizon must be >= 1, got {horizon}")
+    def __init__(self, stats):
         self._buckets: dict = {}
         self._whens: List[int] = []
         self._far: dict = {}
         self._far_epochs: List[int] = []
-        self._epoch_end = horizon
-        self._horizon = horizon
+        self._epoch_end = WHEEL_HORIZON
         self._len = 0
         self._dead = 0
-        self.stats = None
+        self._stats = stats
 
     def push(self, event, when: int) -> None:
         """Enqueue a triggered event for ``when`` (never in the past)."""
@@ -99,7 +95,7 @@ class TimingWheelQueue:
             else:
                 bucket.append(event)
             return
-        epoch = when // self._horizon
+        epoch = when // WHEEL_HORIZON
         sub = self._far.get(epoch)
         if sub is None:
             self._far[epoch] = {when: [event]}
@@ -116,7 +112,7 @@ class TimingWheelQueue:
         while self._far_epochs:
             epoch = heapq.heappop(self._far_epochs)
             sub = self._far.pop(epoch)
-            self._epoch_end = (epoch + 1) * self._horizon
+            self._epoch_end = (epoch + 1) * WHEEL_HORIZON
             if sub:
                 # Near timestamps are all < the old epoch_end and far
                 # ones all >= it, so the dicts are disjoint.
@@ -133,7 +129,7 @@ class TimingWheelQueue:
                 return None
         return self._whens[0]
 
-    def note_cancelled(self, event) -> None:
+    def note_cancelled(self) -> None:
         """A queued event was cancelled in place; compact lazily."""
         dead = self._dead + 1
         self._dead = dead
@@ -167,8 +163,7 @@ class TimingWheelQueue:
         heapq.heapify(self._far_epochs)
         self._len = live
         self._dead = 0
-        if self.stats is not None:
-            self.stats.heap_compactions += 1
+        self._stats.heap_compactions += 1
 
     def __len__(self) -> int:
         """Queued entries, including cancelled ones."""
