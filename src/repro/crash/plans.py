@@ -47,6 +47,7 @@ from repro.crash.linestream import FenceRec, LineStore, LineStream
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
+
 def _mix(seq: int) -> int:
     return ((seq + 1) * _MIX) & _MASK
 
