@@ -29,13 +29,14 @@ from __future__ import annotations
 import hashlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from repro.fs.pmimage import PMImage
 from repro.fs.recovery import (TornLogEntryError,
                                completion_buffer_validator, recover)
-from repro.fs.structures import FileKind, TornRecord
+from repro.fs.structures import FileKind, TornRecord, WriteEntry
 from repro.hw.platform import Platform, PlatformConfig
 from repro.obs import TraceChecker, default_tracing
 from repro.workloads.factory import make_fs
@@ -283,25 +284,53 @@ def _mechanism_checks(fs2, img, validator):
       pages landed must have invalidated the entry);
     * ``no-resurrect``  -- a surviving mapping's SNs must satisfy the
       completion-buffer rule: an amended SN set can never make data
-      valid that the buffers do not cover.
+      valid that the buffers do not cover.  The index holds page ids
+      only, so a mapping's SNs are those of the committed
+      :class:`~repro.fs.structures.WriteEntry` that mapped its
+      ``(pgoff, page_id)`` last.
     """
     for txn in img.journal:
         if isinstance(txn, TornRecord):
             return ("torn-journal",
                     f"recovery left a torn {txn.of} journal record "
                     f"({txn.lines}/{txn.total} lines) unretired")
+    pages = img.pages
     for ino, m in fs2._mem.items():
-        for off, pm in m.index.items():
-            if pm.page_id not in img.pages:
+        invalid = (_invalid_mappings(img, ino, validator)
+                   if validator is not None and m.index else None)
+        for off, pid in m.index.items():
+            if pid not in pages:
                 return ("sn-pages",
                         f"inode {ino} pgoff {off}: surviving mapping "
-                        f"references page {pm.page_id} absent from the "
+                        f"references page {pid} absent from the "
                         f"image (metadata persisted before data)")
-            if pm.sns and validator is not None and not validator(pm.sns):
+            sns = invalid.get((off, pid)) if invalid else None
+            if sns:
                 return ("no-resurrect",
                         f"inode {ino} pgoff {off}: surviving mapping's "
-                        f"SNs {pm.sns} fail the completion-buffer rule")
+                        f"SNs {sns} fail the completion-buffer rule")
     return None
+
+
+def _invalid_mappings(img, ino: int, validator) -> Dict[Tuple[int, int],
+                                                        Tuple]:
+    """``{(pgoff, page_id): sns}`` for each mapping whose last
+    SN-carrying committed write entry in ``ino``'s log fails
+    ``validator``.  Validation is per entry; pages are only walked
+    once some entry has failed."""
+    invalid: Dict[Tuple[int, int], Tuple] = {}
+    for entry in img.committed_log(ino):
+        if not isinstance(entry, WriteEntry) or not entry.sns:
+            continue
+        pgoff = entry.pgoff
+        keys = zip(range(pgoff, pgoff + len(entry.page_ids)),
+                   entry.page_ids)
+        if not validator(entry.sns):
+            invalid.update(zip(keys, repeat(entry.sns)))
+        elif invalid:
+            for key in keys:
+                invalid.pop(key, None)
+    return invalid
 
 
 def _record_workload(kind: str, driver: Callable, iterations: int,

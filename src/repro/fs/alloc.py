@@ -40,9 +40,15 @@ class PageAllocator:
         if count < 0:
             raise ValueError(f"negative page count: {count}")
         self.pages_allocated += count
-        ids: List[int] = []
-        while self._free and len(ids) < count:
-            ids.append(self._free.popleft())
+        # Recycled pages leave in FIFO order: the order decides page
+        # contiguity, and so the simulated copy/DMA run sizes.
+        free = self._free
+        if count >= len(free):
+            ids = list(free)
+            free.clear()
+        else:
+            popleft = free.popleft
+            ids = [popleft() for _ in range(count)]
         if len(ids) < count:
             ids.extend(self.image.alloc_page_ids(count - len(ids)))
         return ids
@@ -78,12 +84,12 @@ class PageAllocator:
         if self._active_reads:
             self._deferred.append((list(pages), set(self._active_reads)))
         else:
-            self._release(list(pages))
+            self._release(pages)
 
     def _release(self, pages: List[int]) -> None:
-        for page_id in pages:
-            self.image.drop_page(page_id)
-            self._free.append(page_id)
+        # PMImage.drop_page is a no-op (PM keeps freed bytes), so the
+        # release is a bulk append to the recycle list.
+        self._free.extend(pages)
 
     # -- introspection --------------------------------------------------------
     @property

@@ -31,7 +31,6 @@ from repro.fs.structures import (
     FileKind,
     Inode,
     MemInode,
-    PageMapping,
     RenameTxn,
     SetAttrEntry,
     WriteEntry,
@@ -514,7 +513,7 @@ class NovaFS:
                 ctx, m, SetAttrEntry(size=size, mtime=self.engine.now))
             first_dead = (size + PAGE_SIZE - 1) // PAGE_SIZE
             dead = [off for off in m.index if off >= first_dead]
-            freed = [m.index.pop(off).page_id for off in dead]
+            freed = [m.index.pop(off) for off in dead]
             m.bump_layout_epoch()
             self.allocator.free(freed)
             m.size = size
@@ -525,7 +524,7 @@ class NovaFS:
 
     def _drop_inode(self, ctx: OpContext, m: MemInode):
         yield ctx.charge("metadata", self.model.log_append_cost)
-        self.allocator.free([pm.page_id for pm in m.index.values()])
+        self.allocator.free(list(m.index.values()))
         self.image.drop_inode(m.ino)
         self._mem.pop(m.ino, None)
 
@@ -608,10 +607,10 @@ class NovaFS:
         return result
 
     def _old_page_content(self, m: MemInode, off: int) -> bytes:
-        mapping = m.index.get(off)
-        if mapping is None:
+        page_id = m.index.get(off)
+        if page_id is None:
             return bytes(PAGE_SIZE)
-        data = self.image.pages.get(mapping.page_id)
+        data = self.image.pages.get(page_id)
         if data is ELIDED or data is None:
             return bytes(PAGE_SIZE)
         return data
@@ -629,16 +628,18 @@ class NovaFS:
         to them if it must discard the new mapping (§4.2).  Passing the
         pending completion event defers the free accordingly.
         """
-        entry = WriteEntry(pgoff=prep.pgoff, page_ids=tuple(prep.page_ids),
+        page_ids = prep.page_ids
+        pgoff = prep.pgoff
+        entry = WriteEntry(pgoff=pgoff, page_ids=tuple(page_ids),
                            size_after=prep.size_after, mtime=self.engine.now,
                            sns=sns)
         idx = yield from self._append_commit(ctx, m, entry)
-        ctx.trace_point("write_commit", ino=m.ino, log_idx=idx,
-                        pids=list(prep.page_ids), sns=list(sns))
+        if ctx._tracer is not None:
+            ctx.trace_point("write_commit", ino=m.ino, log_idx=idx,
+                            pids=list(page_ids), sns=list(sns))
         yield ctx.charge("indexing",
-                              self.model.index_insert_cost * len(prep.page_ids))
-        for i, pid in enumerate(prep.page_ids):
-            m.index[prep.pgoff + i] = PageMapping(pid, sns)
+                         self.model.index_insert_cost * len(page_ids))
+        m.index.update(zip(range(pgoff, pgoff + len(page_ids)), page_ids))
         m.bump_layout_epoch()
         m.size = prep.size_after
         m.mtime = entry.mtime

@@ -113,6 +113,22 @@ class PMImage:
         if self.linestream is not None:
             self.linestream.page_write(page_id, data)
 
+    def write_pages(self, page_ids, contents) -> None:
+        """Persist a train of data pages, in order.
+
+        Equivalent to :meth:`write_page` on each ``(page_id, content)``
+        pair.  A plain image (no journal, no fault plan, no line
+        stream) stores the whole train with one dict update; otherwise
+        each page goes through :meth:`write_page`, so journal records,
+        line-stream records and media-fault draws are unchanged.
+        """
+        if self.recording or self.fault_plan is not None \
+                or self.linestream is not None:
+            for page_id, data in zip(page_ids, contents):
+                self.write_page(page_id, data)
+        else:
+            self.pages.update(zip(page_ids, contents))
+
     def drop_page(self, page_id: int) -> None:
         """Return a page to free space.
 
@@ -122,7 +138,8 @@ class PMImage:
         write's mapping.  Content only disappears when the page is
         reallocated and overwritten by a later :meth:`write_page`.
         """
-        # Intentionally neither erases nor journals anything.
+        # Intentionally neither erases nor journals anything (which is
+        # why PageAllocator recycles pages without calling it).
 
     def put_inode(self, ino: int, inode: Any) -> None:
         """Persist an inode record (create or in-place field update)."""

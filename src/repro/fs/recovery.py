@@ -25,7 +25,6 @@ from repro.fs.structures import (
     PAGE_SIZE,
     DentryEntry,
     FileKind,
-    PageMapping,
     SetAttrEntry,
     TornEntry,
     TornRecord,
@@ -103,8 +102,9 @@ def recover(fs, sn_validator: Optional[SnValidator] = None):
                     # Unfinished DMA: discard this and all later entries.
                     discarded_entries += 1
                     break
-                for i, pid in enumerate(entry.page_ids):
-                    m.index[entry.pgoff + i] = PageMapping(pid, entry.sns)
+                pgoff = entry.pgoff
+                m.index.update(zip(range(pgoff, pgoff + len(entry.page_ids)),
+                                   entry.page_ids))
                 m.bump_layout_epoch()
                 m.size = entry.size_after
                 m.mtime = entry.mtime
@@ -162,7 +162,7 @@ def recover(fs, sn_validator: Optional[SnValidator] = None):
     # Rebuild the allocator's view: every page referenced by a live
     # index is in use; everything else the image holds goes back on the
     # free list (the free list itself is volatile in NOVA).
-    live = {pm.page_id for m in fs._mem.values() for pm in m.index.values()}
+    live = {pid for m in fs._mem.values() for pid in m.index.values()}
     for pid in sorted(p for p in image.pages if p not in live):
         fs.allocator._free.append(pid)
 
@@ -189,8 +189,7 @@ def snapshot_namespace(fs) -> Dict[str, Tuple]:
                 out[path] = ("dir", 0, None)
                 walk(child_ino, path)
             else:
-                digest = tuple(sorted(
-                    (off, pm.page_id) for off, pm in child.index.items()))
+                digest = tuple(sorted(child.index.items()))
                 out[path] = ("file", child.size, digest)
 
     walk(0, "")

@@ -136,20 +136,6 @@ class TornRecord:
     total: int
 
 
-@dataclass(slots=True)
-class PageMapping:
-    """Volatile block-mapping slot: one file page -> physical page.
-
-    ``sns`` mirrors the owning :class:`WriteEntry`; EasyIO's two-level
-    locking consults it to decide whether the page's data has landed.
-    (``slots=True``: benchmarks create one per written page, millions
-    per sweep.)
-    """
-
-    page_id: int
-    sns: Tuple[Tuple[int, int], ...] = ()
-
-
 @dataclass
 class MemInode:
     """Volatile in-DRAM inode state, rebuilt from the log on recovery.
@@ -158,6 +144,12 @@ class MemInode:
     size/mtime, the dentry map for directories -- plus EasyIO's
     bookkeeping: ``pending_sns``, the SNs of the most recent write whose
     DMA may still be in flight (the level-2 lock state, §4.3).
+
+    ``index`` maps a file page offset to its physical page id.  It
+    holds no SNs: those live only in the log's :class:`WriteEntry`
+    records, and the level-2 lock reads ``pending_sns``.  Insertion
+    order matters -- freeing an inode releases its pages in index
+    order, which decides later page recycling.
     """
 
     ino: int
@@ -165,7 +157,7 @@ class MemInode:
     links: int = 1
     size: int = 0
     mtime: int = 0
-    index: Dict[int, PageMapping] = field(default_factory=dict)
+    index: Dict[int, int] = field(default_factory=dict)
     dentries: Dict[str, int] = field(default_factory=dict)
     pending_sns: Tuple[Tuple[int, int], ...] = ()
     # Fault-tolerant EasyIO: the event that fires once the most recent

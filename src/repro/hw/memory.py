@@ -141,6 +141,9 @@ class BandwidthPool:
         Optional callable ``(group_counts: Dict[str, int]) -> Dict[str, float]``
         returning the cap for each group given how many flows of each
         group are active.  Groups absent from the result are uncapped.
+        Beyond the counts it may depend on the flow set only through
+        the number of distinct DMA-group tags (see
+        :meth:`_allocate_rates`, whose memo key holds nothing else).
     """
 
     def __init__(self, engine: Engine, name: str, capacity: float,
@@ -272,25 +275,23 @@ class BandwidthPool:
         """Hierarchical max-min: groups first (weighted by flow count),
         then flows within each group.
 
-        The allocation is a pure function of the flow-set shape --
-        ``(group, cap, tag)`` per flow plus the pool capacity (tags are
-        included because capacity policies may count distinct tags,
-        e.g. active DMA write channels) -- and benchmark steady state
-        cycles through a handful of shapes, so results are memoised
-        per pool.
+        The allocation is a pure function of the pool capacity, the
+        ``(group, cap)`` of each flow in flow order, and the number of
+        distinct DMA-group tags (the only way a capacity policy looks
+        at tags: it counts active DMA write channels).  Benchmark
+        steady state cycles through a handful of such shapes, so
+        results are memoised per pool; a per-flow tag (CPU flows carry
+        ``("r"|"w", ino)``) would only split equal shapes apart.
         """
         flows = self._flows
-        try:
-            key = (self.capacity,
-                   tuple((f.group, f.cap, f.tag) for f in flows))
-        except TypeError:          # unhashable tag: compute uncached
-            key = None
-        if key is not None:
-            rates = self._alloc_cache.get(key)
-            if rates is not None:
-                for flow, rate in zip(flows, rates):
-                    flow.rate = rate
-                return
+        key = (self.capacity,
+               tuple([(f.group, f.cap) for f in flows]),
+               len({f.tag for f in flows if f.group == DMA_GROUP}))
+        rates = self._alloc_cache.get(key)
+        if rates is not None:
+            for flow, rate in zip(flows, rates):
+                flow.rate = rate
+            return
         groups: Dict[str, List[PoolFlow]] = {}
         for flow in flows:
             groups.setdefault(flow.group, []).append(flow)
@@ -307,10 +308,9 @@ class BandwidthPool:
                                     [f.cap for f in members], grate)
             for flow, rate in zip(members, flow_rates):
                 flow.rate = rate
-        if key is not None:
-            if len(self._alloc_cache) >= _WATERFILL_CACHE_MAX:
-                self._alloc_cache.clear()
-            self._alloc_cache[key] = [f.rate for f in flows]
+        if len(self._alloc_cache) >= _WATERFILL_CACHE_MAX:
+            self._alloc_cache.clear()
+        self._alloc_cache[key] = [f.rate for f in flows]
 
     def reset_stats(self) -> None:
         """Zero the lifetime counters and drop memoised allocations."""

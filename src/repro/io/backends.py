@@ -167,12 +167,13 @@ class DmaAsyncBackend(CopyBackend):
             channel = self.cm.write_channel(app)
         jobs: List[DmaJob] = []
         for extent in plan.extents:
-            pids, contents = list(extent.page_ids), list(extent.contents)
-            run_bytes = len(pids) * PAGE_SIZE
-            for chunk in self.cm.split(app, run_bytes):
-                take = chunk // PAGE_SIZE
-                chunk_pids, pids = pids[:take], pids[take:]
-                chunk_contents, contents = contents[:take], contents[take:]
+            pids, contents = extent.page_ids, extent.contents
+            start = 0
+            for chunk in self.cm.split(app, len(pids) * PAGE_SIZE):
+                end = start + chunk // PAGE_SIZE
+                chunk_pids = list(pids[start:end])
+                chunk_contents = list(contents[start:end])
+                start = end
                 desc = DmaDescriptor(chunk, write=True, tag=plan.tag)
                 desc.on_complete = self.persister.on_complete(
                     chunk_pids, chunk_contents)

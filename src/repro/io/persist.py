@@ -35,8 +35,7 @@ class PagePersister:
 
     def persist(self, pids, contents) -> None:
         image = self.image
-        for pid, content in zip(pids, contents):
-            image.write_page(pid, content)
+        image.write_pages(pids, contents)
         # clwb+sfence over the store train (line-granularity crash
         # model; a no-op when the batch landed via DMA or the image is
         # not line-recording).
@@ -100,20 +99,22 @@ class VerifyingPagePersister(PagePersister):
 
     def persist(self, pids, contents) -> None:
         image = self.image
-        guard = image.fault_plan is not None
-        for pid, content in zip(pids, contents):
-            image.write_page(pid, content)
-            if not guard or content is ELIDED:
-                continue
-            expected = image.checksum(content)
-            rewrites = 0
-            while not image.verify_page(pid, expected):
-                self.fault_stats.media_faults_detected += 1
-                rewrites += 1
-                if rewrites > self.rewrite_max:
-                    raise RuntimeError(
-                        f"page {pid}: media faults persist after "
-                        f"{rewrites - 1} rewrites")
+        if image.fault_plan is None:
+            image.write_pages(pids, contents)
+        else:
+            for pid, content in zip(pids, contents):
                 image.write_page(pid, content)
+                if content is ELIDED:
+                    continue
+                expected = image.checksum(content)
+                rewrites = 0
+                while not image.verify_page(pid, expected):
+                    self.fault_stats.media_faults_detected += 1
+                    rewrites += 1
+                    if rewrites > self.rewrite_max:
+                        raise RuntimeError(
+                            f"page {pid}: media faults persist after "
+                            f"{rewrites - 1} rewrites")
+                    image.write_page(pid, content)
         image.pages_fence()
         self._trace_persist(pids)

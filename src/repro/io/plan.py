@@ -63,20 +63,25 @@ def run_sizes(page_ids: Sequence[int]) -> List[int]:
     return [len(ids) * PAGE_SIZE for ids, _ in contiguous_runs(page_ids)]
 
 
-def extent_runs(index: Dict[int, Any], pgoff: int,
+def extent_runs(index: Dict[int, int], pgoff: int,
                 npages: int) -> Iterator[Tuple[int, List[int]]]:
     """Yield ``(pgoff, [page_ids...])`` runs of physically consecutive
     pages over a mapped file range.
 
-    ``index`` maps file page offsets to :class:`PageMapping`; a hole
-    (unmapped offset) is emitted as an empty run so readers can
-    zero-fill.
+    ``index`` maps file page offsets to page ids; a hole (unmapped
+    offset) is emitted as an empty run so readers can zero-fill.
+    Page id 0 is a real page, so holes are tested with ``is None``.
     """
+    page_ids = list(map(index.get, range(pgoff, pgoff + npages)))
+    # Fast path: a fully mapped, physically consecutive range is one run.
+    if page_ids and None not in page_ids \
+            and page_ids[-1] - page_ids[0] == npages - 1 \
+            and page_ids == list(range(page_ids[0], page_ids[0] + npages)):
+        yield pgoff, page_ids
+        return
     run_start = None
     run_pages: List[int] = []
-    for off in range(pgoff, pgoff + npages):
-        mapping = index.get(off)
-        page_id = mapping.page_id if mapping else None
+    for off, page_id in enumerate(page_ids, pgoff):
         if run_pages and page_id is not None and page_id == run_pages[-1] + 1:
             run_pages.append(page_id)
             continue
@@ -231,8 +236,9 @@ class IoPlanner:
                 new = bytearray(old)
                 new[lo:hi] = payload[data_lo:data_lo + (hi - lo)]
                 contents.append(bytes(new))
-        old_pages = [m.index[off].page_id
-                     for off in range(pgoff, pgoff + npages) if off in m.index]
+        old_pages = list(map(m.index.get, range(pgoff, pgoff + npages)))
+        if None in old_pages:
+            old_pages = [pid for pid in old_pages if pid is not None]
         # One copy per physically contiguous run of new pages; freshly
         # allocated runs are contiguous unless the recycler fragmented
         # them -- model one run per fragment.  The edge pages move

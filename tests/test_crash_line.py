@@ -22,8 +22,12 @@ import pytest
 
 from repro.core.easyio import CRASH_MUTANTS, install_crash_mutant
 from repro.crash.crashmonkey import (CRASH_WORKLOADS, _line_sweep,
-                                     _record_workload, run_crash_test)
+                                     _mechanism_checks, _record_workload,
+                                     make_fs_on_image, run_crash_test)
 from repro.faults import ChannelHaltFault, FaultPlan
+from repro.fs.recovery import completion_buffer_validator, recover
+from repro.hw.platform import Platform, PlatformConfig
+from repro.workloads.factory import make_fs
 
 ARTIFACT = Path("crash_mutant_plans.json")
 
@@ -127,8 +131,6 @@ class TestMutantDetection:
         assert "sn-pages" in checks
 
     def test_mutants_require_their_preconditions(self):
-        from repro.hw.platform import Platform, PlatformConfig
-        from repro.workloads.factory import make_fs
         platform = Platform(PlatformConfig.single_node())
         fs = make_fs("easyio", platform, record=True)
         with pytest.raises(RuntimeError, match="line-recording"):
@@ -155,3 +157,57 @@ class TestReportShape:
         assert report.raw_states == 0
         assert report.plan_classes == {}
         assert report.all_passed
+
+
+class TestNoResurrectOracle:
+    """``no-resurrect`` fires on a mapping whose SNs the completion
+    buffers do not cover (shown with a recovery that skips the SN rule)."""
+
+    PAYLOAD = b"\x5a" * 65536
+
+    def _crashed_image(self):
+        """A recorded EasyIO write, cut after its DMA'd pages persisted
+        but before the completion buffer covers its SN."""
+        platform = Platform(PlatformConfig.single_node())
+        fs = make_fs("easyio", platform, record=True)
+        out = {}
+
+        def body():
+            ino = yield from fs.create(fs.context(), "/f")
+            r = yield from fs.write(fs.context(), ino, 0,
+                                    len(self.PAYLOAD), self.PAYLOAD)
+            yield r.pending
+            out["entry"] = fs.image.committed_log(ino)[-1]
+
+        platform.engine.process(body())
+        platform.engine.run()
+        entry = out["entry"]
+        assert entry.sns, "the write must have gone through DMA"
+        (channel, sn), = entry.sns
+        ops = fs.image.mutations
+        covered = next(i for i, rec in enumerate(ops)
+                       if rec.op == "update_completion_buffer"
+                       and rec.args == (channel, sn))
+        landed = [i for i, rec in enumerate(ops[:covered])
+                  if rec.op == "write_page" and rec.args[0] in entry.page_ids]
+        assert len(landed) == len(entry.page_ids)
+        return fs.image.replay(covered)
+
+    def _recover(self, img, validate):
+        fs2 = make_fs_on_image(
+            "easyio", Platform(PlatformConfig.single_node()), img)
+        validator = completion_buffer_validator(img)
+        recover(fs2, validator if validate else None)
+        return fs2, validator
+
+    def test_unvalidated_recovery_is_caught(self):
+        img = self._crashed_image()
+        fs2, validator = self._recover(img, validate=False)
+        fail = _mechanism_checks(fs2, img, validator)
+        assert fail is not None and fail[0] == "no-resurrect", fail
+
+    def test_validated_recovery_passes(self):
+        img = self._crashed_image()
+        fs2, validator = self._recover(img, validate=True)
+        assert fs2.recovered_discarded_entries == 1
+        assert _mechanism_checks(fs2, img, validator) is None

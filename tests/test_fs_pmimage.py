@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.fs.pmimage import MutationRecord, PMImage
+from repro.faults import FaultPlan
+from repro.fs.pmimage import ELIDED, MutationRecord, PMImage
 from repro.fs.structures import FileKind, Inode, WriteEntry
 
 
@@ -102,3 +103,58 @@ class TestReplay:
         img.commit_log_tail(1, 1)
         crashed = img.replay(img.crash_points())
         assert crashed.committed_log(1) == ["e"]
+
+
+def _records(stream):
+    """A line stream's records as comparable tuples."""
+    if stream is None:
+        return None
+    return [(type(r).__name__,) + tuple(getattr(r, a) for a in r.__slots__)
+            for r in stream.records]
+
+
+class TestWritePages:
+    """The bulk page store equals a write_page loop on every image kind."""
+
+    PIDS = [7, 8, 9, 3, 4, 20, 21, 22]
+
+    @staticmethod
+    def _contents(kind):
+        # Line recording journals real payloads only (no ELIDED pages).
+        elided = ELIDED if kind != "lines" else b"e" * 64
+        return [bytes([i]) * 4096 if i % 3 else elided
+                for i in range(len(TestWritePages.PIDS))]
+
+    @staticmethod
+    def _image(kind):
+        img = PMImage(record=kind in ("recording", "lines"))
+        if kind == "lines":
+            img.enable_line_recording()
+        if kind == "media":
+            img.fault_plan = FaultPlan(seed=5, p_media=0.4)
+        # Some state before the train, so journal positions matter.
+        img.put_inode(1, Inode(1, FileKind.FILE, 1, 0))
+        img.write_page(3, b"old" * 100)
+        return img
+
+    @pytest.mark.parametrize("kind", ["plain", "recording", "lines",
+                                      "media"])
+    def test_bulk_store_matches_per_page_loop(self, kind):
+        bulk, loop = self._image(kind), self._image(kind)
+        bulk.write_pages(self.PIDS, self._contents(kind))
+        for pid, data in zip(self.PIDS, self._contents(kind)):
+            loop.write_page(pid, data)
+        # A second train on top: the stores stay in persist order.
+        tail = self._contents(kind)[:2]
+        bulk.write_pages([3, 40], tail)
+        for pid, data in zip([3, 40], tail):
+            loop.write_page(pid, data)
+        assert bulk.pages == loop.pages
+        assert list(bulk.pages) == list(loop.pages)
+        assert bulk.mutations == loop.mutations
+        assert _records(bulk.linestream) == _records(loop.linestream)
+        if kind == "media":
+            assert bulk.fault_plan.trace == loop.fault_plan.trace
+            assert bulk.fault_plan.injected["media"] > 0
+        if kind in ("recording", "lines"):
+            assert [m.op for m in bulk.mutations].count("write_page") == 11

@@ -52,7 +52,7 @@ class TestTailScan:
         img.commit_log_tail(1, 1)
         fs = recover(fresh_fs(img))
         assert fs._mem[1].size == PAGE_SIZE
-        assert fs._mem[1].index[0].page_id == 0
+        assert fs._mem[1].index[0] == 0
 
 
 class TestSnValidation:

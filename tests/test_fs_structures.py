@@ -5,7 +5,6 @@ from repro.fs.structures import (
     DentryEntry,
     FileKind,
     MemInode,
-    PageMapping,
     WriteEntry,
 )
 
@@ -31,7 +30,7 @@ class TestExtentRuns:
     def make(self, mapping):
         m = MemInode(ino=1, kind=FileKind.FILE)
         for off, pid in mapping.items():
-            m.index[off] = PageMapping(pid)
+            m.index[off] = pid
         return m
 
     def test_contiguous_pages_form_one_run(self):

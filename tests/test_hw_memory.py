@@ -1,13 +1,21 @@
 """Tests for the bandwidth-pool model and slow-memory device."""
 
+import random
+
 import pytest
 
 from repro.hw.memory import (
     CPU_GROUP,
     DELEGATION_GROUP,
+    DMA_GROUP,
     BandwidthPool,
+    PoolFlow,
+    SlowMemory,
     _waterfill,
+    clear_waterfill_cache,
 )
+from repro.hw.params import CostModel
+from repro.sim import Engine
 from tests.conftest import run_proc
 
 
@@ -187,3 +195,78 @@ def run_copy(platform, nbytes, write):
         yield from platform.memory.cpu_copy(nbytes, write=write)
     run_proc(platform.engine, body())
     return platform.engine.now - t0
+
+
+def _mem():
+    # 3 DIMMs (one node): two or more DMA write channels already pay
+    # the interleave penalty, so the channel count moves the ceiling.
+    return SlowMemory(Engine(), CostModel(), dimms=3)
+
+
+class TestAllocationMemo:
+    """The pool memo keys on shape, not on per-flow tags."""
+
+    #: A small shape space, so shapes recur with other tags and the
+    #: memo is hit; 50 B/ns DMA flows make the channel ceiling bind.
+    CAPS = (2.0, 50.0)
+
+    @staticmethod
+    def _rates(mem, pool_name, shape):
+        pool = getattr(mem, pool_name)
+        pool._flows = [PoolFlow(4096, cap, group, tag, None, 0)
+                       for group, cap, tag in shape]
+        pool._allocate_rates()
+        rates = [f.rate for f in pool._flows]
+        pool._flows = []
+        return rates
+
+    def _random_shape(self, rng):
+        shape = []
+        for _ in range(rng.randint(1, 4)):
+            group = rng.choice((CPU_GROUP, DMA_GROUP, DELEGATION_GROUP))
+            if group == DMA_GROUP:
+                tag = rng.randrange(4)                    # channel id
+            else:
+                tag = (rng.choice("rw"), rng.randrange(1, 40))  # per file
+            shape.append((group, rng.choice(self.CAPS), tag))
+        return shape
+
+    @pytest.mark.parametrize("pool_name", ["write_pool", "read_pool"])
+    def test_memoised_rates_equal_a_fresh_pool(self, pool_name):
+        rng = random.Random(0x5EED)
+        memo = _mem()
+        hits = 0
+        for _ in range(400):
+            shape = self._random_shape(rng)
+            cache = getattr(memo, pool_name)._alloc_cache
+            before = len(cache)
+            got = self._rates(memo, pool_name, shape)
+            hits += len(cache) == before
+            clear_waterfill_cache()
+            fresh = _mem()
+            want = self._rates(fresh, pool_name, shape)
+            assert got == want, shape          # bit-identical floats
+        assert hits > 50          # the memo was exercised, not bypassed
+
+    def test_tags_alone_share_an_entry(self):
+        mem = _mem()
+        a = self._rates(mem, "write_pool", [(CPU_GROUP, 2.0, ("w", 1)),
+                                            (DMA_GROUP, 3.0, 0)])
+        b = self._rates(mem, "write_pool", [(CPU_GROUP, 2.0, ("w", 9)),
+                                            (DMA_GROUP, 3.0, 5)])
+        assert a == b
+        assert len(mem.write_pool._alloc_cache) == 1
+
+    def test_distinct_dma_channel_count_splits_entries(self):
+        mem = _mem()
+        one = [(DMA_GROUP, 50.0, 0), (DMA_GROUP, 50.0, 0)]
+        two = [(DMA_GROUP, 50.0, 0), (DMA_GROUP, 50.0, 1)]
+        r_one = self._rates(mem, "write_pool", one)
+        r_two = self._rates(mem, "write_pool", two)
+        assert len(mem.write_pool._alloc_cache) == 2
+        # The write ceiling falls with more channels and binds here.
+        assert sum(r_two) < sum(r_one)
+        for shape, got in ((one, r_one), (two, r_two)):
+            clear_waterfill_cache()
+            fresh = _mem()
+            assert self._rates(fresh, "write_pool", shape) == got

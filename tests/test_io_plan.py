@@ -10,7 +10,7 @@ operations, and runs that cross extent boundaries.
 import pytest
 
 from repro.fs import NovaFS, PMImage
-from repro.fs.structures import PAGE_SIZE, FileKind, MemInode, PageMapping
+from repro.fs.structures import PAGE_SIZE, FileKind, MemInode
 from repro.io.plan import (
     CowPrep,
     IoPlanner,
@@ -32,7 +32,7 @@ def do(fs, gen):
 
 def _minode(mapping):
     m = MemInode(ino=7, kind=FileKind.FILE)
-    m.index = {off: PageMapping(pid) for off, pid in mapping.items()}
+    m.index = dict(mapping)
     return m
 
 
@@ -89,6 +89,13 @@ class TestExtentRuns:
         m = _minode({1: 50})
         assert list(extent_runs(m.index, 0, 3)) == \
             [(0, []), (1, [50]), (2, [])]
+
+    def test_page_zero_is_mapped_not_a_hole(self):
+        # Page id 0 is falsy: it must still count as a mapping, and the
+        # hole after it must split it from physically adjacent page 1.
+        m = _minode({0: 0, 2: 1})
+        assert list(extent_runs(m.index, 0, 3)) == \
+            [(0, [0]), (1, []), (2, [1])]
 
     def test_meminode_method_delegates(self):
         m = _minode({0: 100, 1: 101, 3: 50})

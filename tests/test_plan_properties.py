@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.fs import NovaFS, PMImage
-from repro.fs.structures import PAGE_SIZE, FileKind, MemInode, PageMapping
+from repro.fs.structures import PAGE_SIZE, FileKind, MemInode
 from repro.io.plan import IoPlanner, run_sizes
 from tests.conftest import run_proc
 
@@ -29,7 +29,7 @@ def _random_index(rng, max_pages=32):
         if roll < 0.3:
             continue                          # hole
         pid = rng.randrange(10, 10_000) if roll < 0.5 else pid + 1
-        index[off] = PageMapping(pid)
+        index[off] = pid
     return index
 
 
@@ -66,7 +66,7 @@ class TestReadPlanProperties:
             # with the index; holes sit exactly where mappings miss.
             for e in plan.extents:
                 for i, pid in enumerate(e.page_ids):
-                    assert m.index[e.pgoff + i].page_id == pid
+                    assert m.index[e.pgoff + i] == pid
                     if i:
                         assert pid == e.page_ids[i - 1] + 1, \
                             "data extent not physically contiguous"
@@ -90,7 +90,7 @@ class TestReadPlanProperties:
                     off = e.pgoff + i
                     assert off not in planned, f"page {off} planned twice"
                     planned[off] = pid
-            expected = {off: m.index[off].page_id
+            expected = {off: m.index[off]
                         for off in range(first, last + 1)
                         if off in m.index}
             assert planned == expected
