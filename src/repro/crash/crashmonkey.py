@@ -27,16 +27,19 @@ SN rule), or the content check fails.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
+from repro.fs.nova import NovaFS
 from repro.fs.pmimage import PMImage
 from repro.fs.recovery import (TornLogEntryError,
                                completion_buffer_validator, recover)
-from repro.fs.structures import FileKind, TornRecord, WriteEntry
+from repro.fs.structures import (PAGE_SIZE, FileKind, TornRecord,
+                                  WriteEntry)
 from repro.hw.platform import Platform, PlatformConfig
 from repro.obs import TraceChecker, default_tracing
 from repro.workloads.factory import make_fs
@@ -53,30 +56,27 @@ def _content_hash(fs, m) -> str:
     return hasher.hexdigest()
 
 
-def snapshot_with_content(fs, digest_cache: Optional[dict] = None) -> Snapshot:
+def snapshot_with_content(fs, digests: Optional[dict] = None) -> Snapshot:
     """{path: ("dir"|"file", size, content-digest)} for the whole tree.
 
-    ``digest_cache`` memoises digests as ``{ino: (size, layout_epoch,
-    digest)}``.  Within one call a fresh cache always applies (hard
-    links resolve to one inode, whose content cannot change mid-walk).
-    Passing a persistent dict across snapshots of the *same live fs* is
-    sound when (a) inode numbers are never reused (``PMImage.next_ino``
-    is monotonic), and (b) every content change bumps the inode's
-    ``layout_epoch`` (write commit, truncate, recovery rebuild) -- the
-    recording runner relies on this, but must not pass one when media
-    faults are in play (they corrupt page bytes without touching the
-    mapping).
+    ``digests`` memoises content digests on the content itself: the key
+    is ``(size, page contents)``, one entry per page the size covers
+    (``None`` for a hole or a page the image does not hold).  A file's
+    digest is a pure function of that key, so one dict may be shared by
+    any snapshots of any filesystems -- live or recovered, before or
+    after an in-flight DMA lands -- and a hit is always the digest a
+    fresh hash would give.
     """
     out: Snapshot = {}
-    cache = {} if digest_cache is None else digest_cache
+    memo = {} if digests is None else digests
+    pages = fs.image.pages
 
-    def digest(ino: int, m) -> str:
-        key = (m.size, m.layout_epoch)
-        hit = cache.get(ino)
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        value = _content_hash(fs, m)
-        cache[ino] = (key, value)
+    def digest(m) -> str:
+        key = (m.size, tuple(map(pages.get, map(
+            m.index.get, range(-(-m.size // PAGE_SIZE))))))
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = _content_hash(fs, m)
         return value
 
     def walk(ino: int, prefix: str):
@@ -92,7 +92,7 @@ def snapshot_with_content(fs, digest_cache: Optional[dict] = None) -> Snapshot:
                 out[path] = ("dir", 0, None)
                 walk(child_ino, path)
             else:
-                out[path] = ("file", child.size, digest(child_ino, child))
+                out[path] = ("file", child.size, digest(child))
 
     walk(0, "")
     return out
@@ -336,7 +336,8 @@ def _invalid_mappings(img, ino: int, validator) -> Dict[Tuple[int, int],
 def _record_workload(kind: str, driver: Callable, iterations: int,
                      fault_plan: Optional[Callable] = None,
                      trace_oracles: bool = False, *,
-                     lines: bool = False, mutant: Optional[str] = None):
+                     lines: bool = False, mutant: Optional[str] = None,
+                     digests: Optional[dict] = None):
     """Run the workload once, recording mutations and the op oracle.
 
     ``fault_plan`` is a zero-argument factory returning a fresh
@@ -356,6 +357,10 @@ def _record_workload(kind: str, driver: Callable, iterations: int,
     (see :data:`repro.core.easyio.CRASH_MUTANTS`) -- mutants require
     line recording, so callers enable it for page sweeps on mutants
     too (the sweep itself still only reads the mutation journal).
+
+    ``digests`` is the content-keyed digest memo the oracle snapshots
+    use (see :func:`snapshot_with_content`); the sweep passes the same
+    dict on to every recovered state.
     """
     tracers: list = []
     scope = default_tracing(collect=tracers) if trace_oracles \
@@ -371,7 +376,6 @@ def _record_workload(kind: str, driver: Callable, iterations: int,
         else:
             fs = make_fs(kind, platform, record=True)
     image = fs.image
-    media_faulty = False
     if fault_plan is not None:
         plan = fault_plan()
         if lines and plan.has_media_faults:
@@ -379,17 +383,12 @@ def _record_workload(kind: str, driver: Callable, iterations: int,
                 "line-granularity recording cannot model media faults "
                 "(DMA payloads are journalled at submission); use the "
                 "page-granularity sweep for media-fault plans")
-        media_faulty = plan.has_media_faults
         plan.install(platform, image=image)
     if mutant is not None:
         from repro.core.easyio import install_crash_mutant
         install_crash_mutant(fs, mutant)
-    # Per-op snapshots of a live, growing tree re-hash mostly unchanged
-    # files; the epoch-keyed digest cache collapses those re-hashes.
-    # Media faults rewrite page bytes behind the mapping's back, so
-    # such plans fall back to per-snapshot caching (see
-    # snapshot_with_content's soundness contract).
-    digest_cache: Optional[dict] = None if media_faulty else {}
+    if digests is None:
+        digests = {}
     # oracle[i] = (start_idx, end_idx, snapshot after op i)
     oracle: List[Tuple[int, int, Snapshot]] = []
 
@@ -406,7 +405,7 @@ def _record_workload(kind: str, driver: Callable, iterations: int,
                 break
             end = len(image.mutations)
             oracle.append((start, end,
-                           snapshot_with_content(fs, digest_cache)))
+                           snapshot_with_content(fs, digests)))
             start = end
             if stream is not None:
                 send = stream.position()
@@ -479,14 +478,16 @@ def run_crash_test(kind: str, workload: str, crash_points: int = 1000,
         raise ValueError(f"unknown granularity {granularity!r}")
     desc, driver, iterations = CRASH_WORKLOADS[workload]
     lines = granularity == "line" or mutant is not None
+    digests: dict = {}
     image, oracle = _record_workload(kind, driver, iterations, fault_plan,
                                      trace_oracles=trace_oracles,
-                                     lines=lines, mutant=mutant)
+                                     lines=lines, mutant=mutant,
+                                     digests=digests)
     validator_needed = kind in ("easyio", "naive")
     if granularity == "line":
         return _line_sweep(kind, workload, image, oracle, validator_needed,
                            per_signature=per_signature, budget=plan_budget,
-                           seed=plan_seed)
+                           seed=plan_seed, digests=digests)
     total = image.crash_points()
     if total < 2:
         raise RuntimeError(f"workload {workload} produced no mutations")
@@ -497,17 +498,23 @@ def run_crash_test(kind: str, workload: str, crash_points: int = 1000,
 
     report = CrashReport(workload=workload, kind=kind,
                          total_crash_points=len(points), passed=0)
+    # One recovery mount platform per sweep.  Every variant inherits
+    # mount, the allocator and recovery from NovaFS unchanged (only the
+    # SN validator differs by kind), and a bare NovaFS schedules
+    # nothing on the engine, so plans can share it.
+    platform = Platform(PlatformConfig.single_node())
+    # Ops run one at a time, so both mutation bounds are sorted.
+    starts = [s for (s, _e, _sn) in oracle]
+    ends = [e for (_s, e, _sn) in oracle]
     for k in points:
         img = image.replay(k)
-        platform = Platform(PlatformConfig.single_node())
-        fs2 = make_fs_on_image(kind, platform, img)
+        fs2 = NovaFS(platform, img)
         validator = (completion_buffer_validator(img)
                      if validator_needed else None)
         recover(fs2, validator)
-        snap = snapshot_with_content(fs2)
-        durable = sum(1 for (_s, e, _sn) in oracle if e <= k)
-        started = sum(1 for (s, _e, _sn) in oracle if s <= k)
-        fail = _check_state(snap, oracle, durable, started)
+        snap = snapshot_with_content(fs2, digests)
+        fail = _check_state(snap, oracle, bisect_right(ends, k),
+                            bisect_right(starts, k))
         if fail is None:
             report.passed += 1
         else:
@@ -516,7 +523,8 @@ def run_crash_test(kind: str, workload: str, crash_points: int = 1000,
 
 
 def _line_sweep(kind: str, workload: str, image, oracle, validator_needed,
-                per_signature, budget, seed) -> CrashReport:
+                per_signature, budget, seed,
+                digests: Optional[dict] = None) -> CrashReport:
     """Replay every pruned crash plan and check recovery against the
     state oracle *and* the mechanism oracles."""
     from repro.crash.linestream import replay_plan
@@ -531,10 +539,10 @@ def _line_sweep(kind: str, workload: str, image, oracle, validator_needed,
                          granularity="line",
                          raw_states=planner.raw_states,
                          plan_classes=dict(planner.plan_classes))
+    platform = Platform(PlatformConfig.single_node())  # see run_crash_test
     for plan in plans:
         img = replay_plan(stream, plan)
-        platform = Platform(PlatformConfig.single_node())
-        fs2 = make_fs_on_image(kind, platform, img)
+        fs2 = NovaFS(platform, img)
         validator = (completion_buffer_validator(img)
                      if validator_needed else None)
         try:
@@ -545,7 +553,7 @@ def _line_sweep(kind: str, workload: str, image, oracle, validator_needed,
             continue
         fail = _mechanism_checks(fs2, img, validator)
         if fail is None:
-            snap = snapshot_with_content(fs2)
+            snap = snapshot_with_content(fs2, digests)
             fail = _check_state(snap, oracle, plan.lo, plan.hi)
         if fail is None:
             report.passed += 1
@@ -554,9 +562,3 @@ def _line_sweep(kind: str, workload: str, image, oracle, validator_needed,
                 CrashFailure(plan.point, fail[0], fail[1], plan.cls))
     return report
 
-
-def make_fs_on_image(kind: str, platform: Platform, image):
-    """Construct (without mounting) the named filesystem over ``image``."""
-    from repro.workloads.factory import fs_class
-
-    return fs_class(kind)(platform, image)

@@ -39,6 +39,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import vector
@@ -87,6 +89,15 @@ class CrashPlan:
     lo: int
     hi: int
     signature: str = field(compare=False, default="")
+
+
+#: A candidate plan before sampling: the :class:`CrashPlan` fields
+#: ``(point, cls, applied, partials, lo, hi, signature)`` as a tuple.
+_Cand = Tuple
+_SIG = 6
+#: The plan order, ``(point, cls)``; the sorts are stable, so ties
+#: keep generation order.
+_order = itemgetter(0, 1)
 
 
 class CrashPlanner:
@@ -138,8 +149,13 @@ class CrashPlanner:
 
     # ------------------------------------------------------------------
     def plans(self) -> List[CrashPlan]:
-        """Generate, deduplicate, and sample the plan set."""
-        deduped: Dict[Tuple, CrashPlan] = {}
+        """Generate, deduplicate, and sample the plan set.
+
+        Candidates are kept as plain ``_Cand`` tuples (the
+        :class:`CrashPlan` fields, in order) until sampling has decided
+        which survive; only those become :class:`CrashPlan` objects.
+        """
+        deduped: Dict[Tuple, _Cand] = {}
         self.raw_states = 0
         self.positions = 0
 
@@ -180,13 +196,9 @@ class CrashPlanner:
                     _candidates_hashed(flight, mix_of, total):
                 key = ((durable_hash + mixsum) & _MASK,
                        n_durable + len(applied), partials, lo, hi)
-                if key in deduped:
-                    continue
-                deduped[key] = CrashPlan(point=point, cls=cls,
-                                         applied=applied,
-                                         partials=partials, lo=lo, hi=hi,
-                                         signature=f"{context}|{cls}|"
-                                                   f"{flight_sig}")
+                if key not in deduped:
+                    deduped[key] = (point, cls, applied, partials, lo, hi,
+                                    f"{context}|{cls}|{flight_sig}")
 
         for idx, rec in enumerate(records):
             if isinstance(rec, FenceRec):
@@ -213,25 +225,25 @@ class CrashPlanner:
                     pending_dma.setdefault(rec.dep[0], []).append(rec)
         visit(len(records), "end")
 
-        chosen = self._sample(list(deduped.values()))
+        chosen = [CrashPlan(*c) for c in self._sample(list(deduped.values()))]
         self.plan_classes = {}
         for p in chosen:
             self.plan_classes[p.cls] = self.plan_classes.get(p.cls, 0) + 1
         return chosen
 
     # ------------------------------------------------------------------
-    def _sample(self, plans: List[CrashPlan]) -> List[CrashPlan]:
+    def _sample(self, cands: List[_Cand]) -> List[_Cand]:
         """Per-signature sampling + the global budget, seeded."""
         if self.per_signature is None and self.budget is None:
-            return plans
+            return cands
         rng = random.Random(self.seed)
-        groups: Dict[str, List[CrashPlan]] = {}
-        for p in plans:
-            groups.setdefault(p.signature, []).append(p)
-        kept: List[CrashPlan] = []
+        groups: Dict[str, List[_Cand]] = {}
+        for c in cands:
+            groups.setdefault(c[_SIG], []).append(c)
+        kept: List[_Cand] = []
         k = self.per_signature
         for sig in sorted(groups):
-            grp = sorted(groups[sig], key=lambda p: (p.point, p.cls))
+            grp = sorted(groups[sig], key=_order)
             if k is not None and len(grp) > k:
                 # Always keep the first and last occurrence (epoch
                 # boundaries see the extreme op-progress ranges),
@@ -240,20 +252,19 @@ class CrashPlanner:
                 grp = sorted(
                     [grp[0], grp[-1]] + rng.sample(middle,
                                                    min(k - 2, len(middle))),
-                    key=lambda p: (p.point, p.cls)) if k >= 2 \
-                    else [grp[0]]
+                    key=_order) if k >= 2 else [grp[0]]
             kept.extend(grp)
         if self.budget is not None and len(kept) > self.budget:
-            by_sig: Dict[str, List[CrashPlan]] = {}
-            for p in kept:
-                by_sig.setdefault(p.signature, []).append(p)
+            by_sig: Dict[str, List[_Cand]] = {}
+            for c in kept:
+                by_sig.setdefault(c[_SIG], []).append(c)
             while sum(len(v) for v in by_sig.values()) > self.budget:
                 sig = max(sorted(by_sig), key=lambda s: len(by_sig[s]))
                 if len(by_sig[sig]) <= 1:
                     break
                 by_sig[sig].pop(rng.randrange(1, len(by_sig[sig])))
-            kept = [p for sig in sorted(by_sig) for p in by_sig[sig]]
-        kept.sort(key=lambda p: (p.point, p.cls))
+            kept = [c for sig in sorted(by_sig) for c in by_sig[sig]]
+        kept.sort(key=_order)
         return kept
 
 
@@ -293,21 +304,15 @@ def _candidates_hashed(flight: List[LineStore], mix_of: Dict[int, int],
             yield f"torn:{r.mech}", iset - {r.seq}, torn, rest_sum
             yield f"torn-solo:{r.mech}", frozenset(), torn, 0
         elif r.klass == "data" and r.nlines > 1:
-            n = r.nlines
             rest = iset - {r.seq}
-            for shape, lines in (
-                    ("head", (0,)),
-                    ("prefix", tuple(range(n // 2))),
-                    ("suffix", tuple(range(n // 2, n))),
-                    ("hole", tuple(i for i in range(n) if i != n // 2))):
+            for shape, lines in _data_shapes(r.nlines):
                 yield f"{shape}:{r.mech}", rest, ((r.seq, lines),), rest_sum
 
 
-def _candidates(flight: List[LineStore]):
-    """Hash-free view of :func:`_candidates_hashed` (kept as the plain
-    enumeration API)."""
-    mix_of = {r.seq: _mix(r.seq) for r in flight}
-    total = sum(mix_of.values())
-    for cls, applied, partials, _mixsum in \
-            _candidates_hashed(flight, mix_of, total):
-        yield cls, applied, partials
+@lru_cache(maxsize=None)
+def _data_shapes(n: int) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+    """The representative partial line sets of an ``n``-line data store."""
+    return (("head", (0,)),
+            ("prefix", tuple(range(n // 2))),
+            ("suffix", tuple(range(n // 2, n))),
+            ("hole", tuple(i for i in range(n) if i != n // 2)))

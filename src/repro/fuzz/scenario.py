@@ -38,9 +38,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.crash.crashmonkey import (_check_state, _mechanism_checks,
-                                     make_fs_on_image,
                                      snapshot_with_content)
-from repro.fs.nova import DeadlineExceeded, FsError
+from repro.fs.nova import DeadlineExceeded, FsError, NovaFS
 from repro.fs.pmimage import PMImage
 from repro.fs.recovery import (TornLogEntryError,
                                completion_buffer_validator, recover)
@@ -176,7 +175,8 @@ def run_scenario(t: ScenarioTuple,
     outcomes: List[str] = []
     op_ids: List[Optional[int]] = []
     reads: List[Tuple[int, bytes]] = []
-    digest_cache: dict = {}
+    #: Content-keyed digest memo shared by every snapshot of this run.
+    digests: dict = {}
     #: (stream_start, stream_end, snapshot) per op (creates = op 0).
     oracle: List[Tuple[int, int, dict]] = []
     inos: List[int] = []
@@ -184,7 +184,7 @@ def run_scenario(t: ScenarioTuple,
     def record_op(sstart: int) -> int:
         send = stream.position() if stream is not None else 0
         oracle.append((sstart, send,
-                       snapshot_with_content(fs, digest_cache)))
+                       snapshot_with_content(fs, digests)))
         if stream is not None:
             stream.op_bounds.append((sstart, send))
         return send
@@ -273,14 +273,15 @@ def run_scenario(t: ScenarioTuple,
     clean_exit = not hang and proc.ok
     if clean_exit:
         findings.extend(_differential(t, tracer, outcomes, op_ids, reads,
-                                      oracle[-1][2] if oracle else {}))
+                                      oracle[-1][2] if oracle else {},
+                                      digests))
 
     # -- detector 2: crash plans through recovery ---------------------
     planner = None
     if t.crash.enabled and clean_exit and stream is not None:
-        planner, crash_findings = _crash_section(t, stream, oracle)
+        planner, crash_findings, result.crash_plans = _crash_section(
+            t, stream, oracle, digests)
         findings.extend(crash_findings)
-        result.crash_plans = len(planner.plans())
         result.raw_states = planner.raw_states
 
     # -- detector 4: cluster oracles over the net dimension -----------
@@ -297,8 +298,8 @@ def run_scenario(t: ScenarioTuple,
     return result
 
 
-def _differential(t, tracer, outcomes, op_ids, reads,
-                  target_snap) -> List[Finding]:
+def _differential(t, tracer, outcomes, op_ids, reads, target_snap,
+                  digests) -> List[Finding]:
     """Replay the verifiably-committed ops on clean NOVA and compare.
 
     The effective schedule is decided from *evidence*, not hope: a
@@ -366,7 +367,7 @@ def _differential(t, tracer, outcomes, op_ids, reads,
                         f"faults")]
 
     findings = []
-    ref_snap = snapshot_with_content(ref)
+    ref_snap = snapshot_with_content(ref, digests)
     if target_snap != ref_snap:
         diff = sorted(set(target_snap.items())
                       ^ set(ref_snap.items()))[:4]
@@ -384,8 +385,9 @@ def _differential(t, tracer, outcomes, op_ids, reads,
     return findings
 
 
-def _crash_section(t, stream, oracle):
-    """Replay the planner's crash plans through recovery."""
+def _crash_section(t, stream, oracle, digests):
+    """Replay the planner's crash plans through recovery; returns the
+    planner, the findings and the number of plans replayed."""
     from repro.crash.linestream import replay_plan
     from repro.crash.plans import CrashPlanner
 
@@ -393,10 +395,13 @@ def _crash_section(t, stream, oracle):
                            budget=t.crash.budget, seed=t.crash.seed)
     findings: List[Finding] = []
     validator_needed = t.kind in ("easyio", "naive")
-    for plan in planner.plans():
+    plans = planner.plans()
+    # One recovery mount platform for every plan (see
+    # repro.crash.crashmonkey.run_crash_test).
+    platform = Platform(PlatformConfig.single_node())
+    for plan in plans:
         img = replay_plan(stream, plan)
-        platform = Platform(PlatformConfig.single_node())
-        fs2 = make_fs_on_image(t.kind, platform, img)
+        fs2 = NovaFS(platform, img)
         validator = (completion_buffer_validator(img)
                      if validator_needed else None)
         try:
@@ -407,11 +412,11 @@ def _crash_section(t, stream, oracle):
             continue
         fail = _mechanism_checks(fs2, img, validator)
         if fail is None:
-            snap = snapshot_with_content(fs2)
+            snap = snapshot_with_content(fs2, digests)
             fail = _check_state(snap, oracle, plan.lo, plan.hi)
         if fail is not None:
             findings.append(Finding("crash", fail[0], fail[1], plan.cls))
-    return planner, findings
+    return planner, findings, len(plans)
 
 
 def _net_section(t, net_tracers):

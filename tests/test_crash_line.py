@@ -23,8 +23,9 @@ import pytest
 from repro.core.easyio import CRASH_MUTANTS, install_crash_mutant
 from repro.crash.crashmonkey import (CRASH_WORKLOADS, _line_sweep,
                                      _mechanism_checks, _record_workload,
-                                     make_fs_on_image, run_crash_test)
+                                     run_crash_test)
 from repro.faults import ChannelHaltFault, FaultPlan
+from repro.fs.nova import NovaFS
 from repro.fs.recovery import completion_buffer_validator, recover
 from repro.hw.platform import Platform, PlatformConfig
 from repro.workloads.factory import make_fs
@@ -194,8 +195,7 @@ class TestNoResurrectOracle:
         return fs.image.replay(covered)
 
     def _recover(self, img, validate):
-        fs2 = make_fs_on_image(
-            "easyio", Platform(PlatformConfig.single_node()), img)
+        fs2 = NovaFS(Platform(PlatformConfig.single_node()), img)
         validator = completion_buffer_validator(img)
         recover(fs2, validator if validate else None)
         return fs2, validator

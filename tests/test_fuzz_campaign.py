@@ -84,3 +84,25 @@ def test_stop_after_failures_short_circuits():
                                     stop_after_failures=1))
     assert early.failures
     assert early.executed <= full.executed
+
+
+def test_scenario_runs_the_crash_planner_once(monkeypatch):
+    """The crash section's plan count and raw-state total come from the
+    one planner pass that chose the replayed plans."""
+    from repro.crash.plans import CrashPlanner
+    from repro.fuzz import run_scenario, schedule_from_seed
+
+    passes = []
+    plans = CrashPlanner.plans
+
+    def counted(planner):
+        out = plans(planner)
+        passes.append((len(out), planner.raw_states))
+        return out
+    monkeypatch.setattr(CrashPlanner, "plans", counted)
+    t = ScenarioTuple(workload=schedule_from_seed(17, n_ops=6))
+    assert t.crash.enabled
+    result = run_scenario(t)
+    assert len(passes) == 1
+    assert (result.crash_plans, result.raw_states) == passes[0]
+    assert result.crash_plans > 0

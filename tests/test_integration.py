@@ -8,6 +8,7 @@ timing and CPU consumption.  Recovery must round-trip for all of them.
 import pytest
 
 from repro.crash.crashmonkey import snapshot_with_content
+from repro.fs.nova import NovaFS
 from repro.fs.recovery import completion_buffer_validator, recover
 from repro.hw.platform import Platform, PlatformConfig
 from repro.workloads.factory import FS_KINDS, make_fs
@@ -77,8 +78,7 @@ class TestRecoveryRoundTrip:
         fs, live_snap, _data = run_sequence(kind, record=True)
         img = fs.image.replay(fs.image.crash_points())
         plat2 = Platform(PlatformConfig.single_node())
-        from repro.crash.crashmonkey import make_fs_on_image
-        fs2 = make_fs_on_image(kind, plat2, img)
+        fs2 = NovaFS(plat2, img)
         validator = (completion_buffer_validator(img)
                      if kind in ("easyio", "naive") else None)
         recover(fs2, validator)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core import EasyIoFS
-from repro.crash.crashmonkey import make_fs_on_image, snapshot_with_content
+from repro.crash.crashmonkey import snapshot_with_content
 from repro.faults import ChannelHaltFault, FaultPlan
-from repro.fs import DeadlineExceeded, PMImage
+from repro.fs import DeadlineExceeded, NovaFS, PMImage
 from repro.fs.recovery import completion_buffer_validator, recover
 from repro.hw.platform import Platform, PlatformConfig
 from repro.runtime import (
@@ -283,12 +283,12 @@ class TestDeadlineUnderFaults:
         for k in range(0, total + 1, max(1, total // 16)):
             img = image.replay(k)
             p2 = Platform(PlatformConfig.single_node())
-            fs2 = make_fs_on_image("easyio", p2, img)
+            fs2 = NovaFS(p2, img)
             recover(fs2, completion_buffer_validator(img))
             final = snapshot_with_content(fs2) if k == total else final
         img = image.replay(total)
         p2 = Platform(PlatformConfig.single_node())
-        fs2 = make_fs_on_image("easyio", p2, img)
+        fs2 = NovaFS(p2, img)
         recover(fs2, completion_buffer_validator(img))
         snap = snapshot_with_content(fs2)
         assert snap.get("/f", (None, 0, None))[1] == len(a)
