@@ -35,10 +35,7 @@ file is adopted as the first entry.  Usage::
 and exits 1 when any wall-clock metric regressed by more than
 ``REGRESSION_MAX`` (CI runners are noisy; 1.5x is a real regression,
 not jitter).  Timings are best-of-``--repeat`` to shave scheduling
-noise.  With numpy installed, each report also times the two crash
-kernels that have a numpy twin (plan replay and the planner's mix
-column) against their pure-Python references, so the trajectory
-records what the numpy kernels buy.
+noise.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro import vector                               # noqa: E402
 from repro.analysis.sweep import fxmark_sweep          # noqa: E402
 from repro.sim import Engine                           # noqa: E402
 from repro.workloads.fxmark import measure_single_op   # noqa: E402
@@ -174,57 +170,6 @@ def bench_crash_prune(repeat: int) -> dict:
     }
 
 
-def bench_vector_kernels(repeat: int) -> dict:
-    """Per-kernel A/B attribution: each crash kernel with a numpy twin
-    timed against its pure-Python reference (same inputs, same
-    process), so the trajectory records where numpy actually pays.
-    Skipped entirely when numpy is unavailable."""
-    if not vector.HAVE_NUMPY:
-        return {"skipped": "numpy unavailable"}
-
-    from repro.crash import linestream as ls
-    from repro.crash import plans as crash_plans
-    from repro.crash.crashmonkey import CRASH_WORKLOADS, _record_workload
-
-    def ab(fn_np, fn_ref) -> dict:
-        on, _ = _best_of(repeat, fn_np)
-        off, _ = _best_of(repeat, fn_ref)
-        return {"wall_s_on": round(on, 4), "wall_s_off": round(off, 4),
-                "speedup": round(off / on, 3) if on else None}
-
-    # Both kernels run on the crash bench's own recording.
-    desc, driver, iterations = CRASH_WORKLOADS["generic_056"]
-    image, _ = _record_workload("easyio", driver, iterations,
-                                fault_plan=None, lines=True)
-    stream = image.linestream
-
-    def planner_with(kernel):
-        def run():
-            bound = crash_plans._mix_column
-            crash_plans._mix_column = kernel
-            try:
-                return crash_plans.CrashPlanner(
-                    stream, per_signature=3, seed=0).plans()
-            finally:
-                crash_plans._mix_column = bound
-        return run
-
-    plans = planner_with(crash_plans._mix_column_np)()
-    out = {"planner": ab(planner_with(crash_plans._mix_column_np),
-                         planner_with(crash_plans._mix_column_ref))}
-
-    def replay_with(kernel):
-        def run():
-            stream._vec_index = None
-            for plan in plans:
-                kernel(stream, plan)
-        return run
-
-    out["replay"] = ab(replay_with(ls._replay_plan_np),
-                       replay_with(ls._replay_plan_ref))
-    return out
-
-
 def bench_replication(repeat: int) -> dict:
     """One traced crash-failover replication run, oracle replay
     included -- the cluster layer's wall-clock unit."""
@@ -259,7 +204,6 @@ def measure(quick: bool, repeat: int) -> dict:
     fig09 = bench_fig09(repeat, duration_us, warmup_us)
     repl = bench_replication(repeat)
     crash = bench_crash_prune(repeat)
-    vec_env = vector.describe()
     report = {
         "mode": "quick" if quick else "full",
         "host_cpus": os.cpu_count() or 1,
@@ -268,10 +212,7 @@ def measure(quick: bool, repeat: int) -> dict:
         # the same interpreter/kernel configuration; record it.
         "environment": {
             "python": _platform.python_version(),
-            "numpy": vec_env["numpy"],
-            "vector_enabled": vec_env["enabled"],
         },
-        "vector_kernels": bench_vector_kernels(repeat),
         "engine": engine,
         "figures": {
             "fig08_probe": fig08,
@@ -319,21 +260,6 @@ def check(report: dict, baseline_path: str) -> int:
         print(f"check: no committed baseline at {baseline_path}; skipping")
         return 0
     baseline = entries[-1]
-    # The committed trajectory must be measured with the vectorised
-    # data plane on (entries predating the vector switchboard carry no
-    # environment block and are exempt); a fresh --check run on a
-    # numpy-capable host must not silently gate in reference mode.
-    env = baseline.get("environment")
-    if env is not None and not env.get("vector_enabled"):
-        print("check: FAIL committed baseline entry "
-              f"{baseline.get('label')!r} was measured with "
-              "vectorisation disabled")
-        return 1
-    if vector.HAVE_NUMPY and not report["environment"]["vector_enabled"]:
-        print("check: FAIL numpy is available but vectorisation is "
-              "disabled (REPRO_VECTOR?); the perf gate must measure "
-              "the vectorised data plane")
-        return 1
     if baseline.get("mode") != report["mode"]:
         # Wall times are only comparable at the same sweep size: scale
         # the gate off the freshly measured serial/fast ratio instead.

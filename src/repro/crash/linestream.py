@@ -39,6 +39,11 @@ Durability semantics (the in-flight-store analysis consumed by
   so replayed images can keep allocating; they are applied at every
   crash point (``bookkeeping``).
 
+The stream applies this rule once, as records are written:
+:attr:`LineStream.covered_at` holds, per store, the position of the
+first fence that makes it durable.  :func:`base_durable`,
+:func:`in_flight`, :func:`replay_plan` and the planner all read it.
+
 Replaying a :class:`~repro.crash.plans.CrashPlan` (a point in the
 stream plus a chosen subset of the in-flight stores, some of them
 partially applied) produces a fresh :class:`PMImage` -- the post-crash
@@ -49,14 +54,17 @@ records become :class:`~repro.fs.structures.TornEntry` /
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro import vector
 from repro.fs.pmimage import PMImage
 from repro.fs.structures import TornEntry, TornRecord
 
 #: Persist granularity: one CPU cache line.
 CACHE_LINE = 64
+
+#: ``LineStream.covered_at`` of a store no fence has covered yet.
+NEVER = sys.maxsize
 
 # -- the mechanism catalog ---------------------------------------------
 #: mechanism -> behaviour class.
@@ -182,9 +190,15 @@ class LineStream:
 
     def __init__(self):
         self.records: List[Any] = []              # LineStore | FenceRec
-        #: Columnar durability index (numpy kernels), rebuilt lazily when
-        #: the stream has grown since it was last derived.
-        self._vec_index: Optional["_StreamIndex"] = None
+        #: One entry per record: for a store, the seq of the first fence
+        #: that makes it durable (its own seq if immediate/bookkeeping,
+        #: NEVER while uncovered); ``-1`` for a fence.  Cancellation is
+        #: not folded in -- it is masked at query time by ``cancelled``.
+        self.covered_at: List[int] = []
+        #: Uncovered CPU store seqs, and per channel the uncovered
+        #: ``(sn, seq)`` DMA stores: the durability rule's only state.
+        self._pending_cpu: List[int] = []
+        self._pending_dma: Dict[int, List[Tuple[int, int]]] = {}
         #: Per-op [start, end) stream positions, appended by the crash
         #: harness runner (ack boundaries for the legality range).
         self.op_bounds: List[Tuple[int, int]] = []
@@ -210,9 +224,18 @@ class LineStream:
     # -- raw emission --------------------------------------------------
     def store(self, mech: str, obj: Tuple, payload: Any, nlines: int = 1,
               dep: Optional[Tuple[int, int]] = None) -> LineStore:
-        rec = LineStore(len(self.records), mech, obj, payload,
-                        nlines=nlines, dep=dep)
+        seq = len(self.records)
+        rec = LineStore(seq, mech, obj, payload, nlines=nlines, dep=dep)
         self.records.append(rec)
+        if rec.immediate:
+            self.covered_at.append(seq)
+        else:
+            self.covered_at.append(NEVER)
+            if dep is None:
+                self._pending_cpu.append(seq)
+            else:
+                self._pending_dma.setdefault(dep[0], []).append(
+                    (dep[1], seq))
         return rec
 
     def fence(self, label: str,
@@ -220,8 +243,26 @@ class LineStream:
         if label in self.skipped_fences:
             self.fences_skipped += 1
             return None
-        rec = FenceRec(len(self.records), label, scope)
+        seq = len(self.records)
+        rec = FenceRec(seq, label, scope)
         self.records.append(rec)
+        self.covered_at.append(-1)
+        covered_at = self.covered_at
+        if scope is None:
+            # A global sfence covers every CPU store issued so far.
+            for s in self._pending_cpu:
+                covered_at[s] = seq
+            self._pending_cpu = []
+        else:
+            # A completion fence covers its channel's stores up to sn.
+            ch, covered = scope
+            keep = []
+            for sn, s in self._pending_dma.get(ch, ()):
+                if sn <= covered:
+                    covered_at[s] = seq
+                else:
+                    keep.append((sn, s))
+            self._pending_dma[ch] = keep
         if self.tracer is not None:
             self.tracer.point("line_fence", track="pm", label=label)
         return rec
@@ -331,252 +372,46 @@ def _page_lines(data: Any) -> int:
 
 
 # ----------------------------------------------------------------------
-# Durability analysis
+# Durability queries: every one reads ``LineStream.covered_at``
 # ----------------------------------------------------------------------
-class _StreamIndex:
-    """Columnar durability view of one stream prefix (numpy kernels).
-
-    ``covered_at[i]`` is the seq of the *first* fence that guarantees
-    store ``i`` durable (its own seq for immediate/bookkeeping stores,
-    ``n`` if no fence in the stream ever covers it); fences and other
-    non-store positions keep the ``n`` sentinel with ``store_mask``
-    False.  Cancellation is *not* baked in -- whether a store is
-    covered by a fence is independent of which other stores were
-    cancelled, so the cancelled mask is applied at query time and the
-    index stays valid as ``cancel_sns`` arrives.  Built in one O(n)
-    pass; every ``base_durable``/``replay_plan`` query after that is a
-    slice-and-compare over the columns.
-    """
-
-    __slots__ = ("n", "store_mask", "covered_at", "page_pid")
-
-    def __init__(self, records: List[Any]):
-        np = vector.numpy()
-        n = len(records)
-        self.n = n
-        self.store_mask = np.zeros(n, dtype=bool)
-        self.covered_at = np.full(n, n, dtype=np.int64)
-        #: Page id for full page-data stores (-1 elsewhere), for the
-        #: last-writer-wins replay dedup.
-        self.page_pid = np.full(n, -1, dtype=np.int64)
-        pending_cpu: List[int] = []
-        pending_dma: Dict[int, List[Tuple[int, int]]] = {}
-        for i, rec in enumerate(records):
-            if isinstance(rec, LineStore):
-                self.store_mask[i] = True
-                if rec.mech == "page-data":
-                    self.page_pid[i] = rec.obj[1]
-                if rec.immediate:
-                    self.covered_at[i] = i
-                elif rec.dep is None:
-                    pending_cpu.append(i)
-                else:
-                    ch, sn = rec.dep
-                    pending_dma.setdefault(ch, []).append((sn, i))
-            elif rec.scope is None:
-                for seq in pending_cpu:
-                    self.covered_at[seq] = i
-                pending_cpu.clear()
-            else:
-                ch, covered = rec.scope
-                keep = []
-                for sn, seq in pending_dma.get(ch, ()):
-                    if sn <= covered:
-                        self.covered_at[seq] = i
-                    else:
-                        keep.append((sn, seq))
-                if ch in pending_dma:
-                    pending_dma[ch] = keep
-
-
-def _stream_index(stream: LineStream) -> _StreamIndex:
-    idx = stream._vec_index
-    if idx is None or idx.n != len(stream.records):
-        idx = _StreamIndex(stream.records)
-        stream._vec_index = idx
-    return idx
-
-
-def _durable_mask(stream: LineStream, point: int):
-    """Bool column over ``records[:point]``: guaranteed-durable stores."""
-    np = vector.numpy()
-    idx = _stream_index(stream)
-    mask = idx.store_mask[:point] & (idx.covered_at[:point] < point)
-    if stream.cancelled:
-        dead = [s for s in stream.cancelled if s < point]
-        if dead:
-            mask[np.asarray(dead, dtype=np.int64)] = False
-    return mask
-
-
-def _base_durable_ref(stream: LineStream, point: int) -> Set[int]:
-    durable: Set[int] = set()
-    pending_cpu: List[int] = []
-    pending_dma: Dict[int, List[Tuple[int, int]]] = {}
-    cancelled = stream.cancelled
-    for rec in stream.records[:point]:
-        if isinstance(rec, LineStore):
-            if rec.seq in cancelled:
-                continue
-            if rec.immediate:
-                durable.add(rec.seq)
-            elif rec.dep is None:
-                pending_cpu.append(rec.seq)
-            else:
-                ch, sn = rec.dep
-                pending_dma.setdefault(ch, []).append((sn, rec.seq))
-        else:
-            if rec.scope is None:
-                durable.update(pending_cpu)
-                pending_cpu.clear()
-            else:
-                ch, covered = rec.scope
-                keep = []
-                for sn, seq in pending_dma.get(ch, ()):
-                    if sn <= covered:
-                        durable.add(seq)
-                    else:
-                        keep.append((sn, seq))
-                if keep or ch in pending_dma:
-                    pending_dma[ch] = keep
-    return durable
-
-
-def _base_durable_np(stream: LineStream, point: int) -> Set[int]:
-    np = vector.numpy()
-    return set(np.nonzero(_durable_mask(stream, point))[0].tolist())
-
-
 def base_durable(stream: LineStream, point: int) -> Set[int]:
-    """Seqs of stores *guaranteed* durable at stream position ``point``.
-
-    CPU stores need a later global fence; DMA stores need a completion
-    fence covering their SN; immediate/bookkeeping stores are durable
-    at issue; cancelled stores are never durable.
-    """
-    return _base_durable_kernel(stream, point)
-
-
-def _in_flight_ref(stream: LineStream, point: int) -> List[LineStore]:
-    durable = _base_durable_ref(stream, point)
+    """Seqs of stores *guaranteed* durable at stream position ``point``:
+    covered before ``point`` and not cancelled (fences carry ``-1``, so
+    ``i <= covered_at[i]`` selects stores)."""
     cancelled = stream.cancelled
-    return [rec for rec in stream.records[:point]
-            if isinstance(rec, LineStore)
-            and rec.seq not in durable and rec.seq not in cancelled
-            and not rec.immediate]
-
-
-def _in_flight_np(stream: LineStream, point: int) -> List[LineStore]:
-    # Immediate stores carry covered_at == own seq (< point), so the
-    # not-yet-covered test excludes them along with the durable ones.
-    np = vector.numpy()
-    idx = _stream_index(stream)
-    mask = idx.store_mask[:point] & (idx.covered_at[:point] >= point)
-    if stream.cancelled:
-        dead = [s for s in stream.cancelled if s < point]
-        if dead:
-            mask[np.asarray(dead, dtype=np.int64)] = False
-    records = stream.records
-    return [records[i] for i in np.nonzero(mask)[0].tolist()]
+    return {i for i, at in enumerate(stream.covered_at[:point])
+            if i <= at < point and i not in cancelled}
 
 
 def in_flight(stream: LineStream, point: int) -> List[LineStore]:
     """The stores a crash at ``point`` may drop (or partially apply),
-    in issue order."""
-    return _in_flight_kernel(stream, point)
+    in issue order: not yet covered at ``point``, not cancelled."""
+    records, cancelled = stream.records, stream.cancelled
+    return [records[i] for i, at in enumerate(stream.covered_at[:point])
+            if at >= point and i not in cancelled]
 
 
 # ----------------------------------------------------------------------
 # Plan replay: stream -> post-crash PMImage
 # ----------------------------------------------------------------------
-def _replay_plan_ref(stream: LineStream, plan) -> PMImage:
-    img = PMImage(record=False)
-    apply_full = _base_durable_ref(stream, plan.point) | set(plan.applied)
-    partials = dict(plan.partials)
-    for rec in stream.records[:plan.point]:
-        if not isinstance(rec, LineStore):
-            continue
-        lines = partials.get(rec.seq)
-        if lines is not None:
-            _apply_partial(img, rec, lines)
-        elif rec.seq in apply_full:
-            _apply_store(img, rec)
-    return img
-
-
-def _replay_plan_np(stream: LineStream, plan) -> PMImage:
-    """Columnar replay: identical image, touching only relevant records.
-
-    The visit set (durable ∪ plan.applied ∪ partial seqs) comes from
-    array compares over the cached index instead of re-walking fences
-    per plan; full page-data applies are deduplicated last-writer-wins
-    per page (a full apply is a plain assignment, so only the final one
-    is observable) -- except for pages also targeted by a partial,
-    whose merge-over-current-content semantics depend on every earlier
-    apply.  Records are applied in ascending seq order, so every
-    mechanism's effect sequence matches the reference walk exactly.
-    """
-    np = vector.numpy()
-    img = PMImage(record=False)
-    point = plan.point
-    idx = _stream_index(stream)
-    visit = _durable_mask(stream, point)
-    if plan.applied:
-        chosen = np.fromiter(plan.applied, dtype=np.int64,
-                             count=len(plan.applied))
-        visit[chosen[chosen < point]] = True
-    partials = dict(plan.partials)
-    if partials:
-        torn = np.fromiter(partials.keys(), dtype=np.int64,
-                           count=len(partials))
-        visit[torn[torn < point]] = True
-    order = np.nonzero(visit)[0]
-    records = stream.records
-    skip: Set[int] = set()
-    page_pos = order[idx.page_pid[order] >= 0]
-    if len(page_pos) > 1:
-        partial_pids = {int(idx.page_pid[s]) for s in partials
-                        if 0 <= s < point and idx.page_pid[s] >= 0}
-        last_full: Dict[int, int] = {}
-        for i, pid in zip(page_pos.tolist(),
-                          idx.page_pid[page_pos].tolist()):
-            if i in partials or pid in partial_pids:
-                continue
-            prev = last_full.get(pid)
-            if prev is not None:
-                skip.add(prev)
-            last_full[pid] = i
-    for i in order.tolist():
-        if i in skip:
-            continue
-        rec = records[i]
-        lines = partials.get(i)
-        if lines is not None:
-            _apply_partial(img, rec, lines)
-        else:
-            _apply_store(img, rec)
-    return img
-
-
 def replay_plan(stream: LineStream, plan) -> PMImage:
     """Materialise one crash plan into a fresh (non-recording) image.
 
-    Applies, in stream order: every store guaranteed durable at the
-    plan's point, plus the plan's chosen in-flight subset (fully or as
-    a partial line set).
+    One pass over ``records[:point]`` in stream order: a store in
+    ``plan.partials`` lands its chosen lines; otherwise a store lands
+    whole if it is guaranteed durable at the point (covered before it,
+    not cancelled) or in the plan's chosen in-flight subset.
     """
-    return _replay_plan_kernel(stream, plan)
-
-
-#: The numpy kernels when numpy imports, the references otherwise.
-if vector.HAVE_NUMPY:
-    _base_durable_kernel = _base_durable_np
-    _in_flight_kernel = _in_flight_np
-    _replay_plan_kernel = _replay_plan_np
-else:  # pragma: no cover - exercised by the no-numpy CI leg
-    _base_durable_kernel = _base_durable_ref
-    _in_flight_kernel = _in_flight_ref
-    _replay_plan_kernel = _replay_plan_ref
+    img = PMImage(record=False)
+    point, applied = plan.point, plan.applied
+    partials = dict(plan.partials)
+    records, cancelled = stream.records, stream.cancelled
+    for i, at in enumerate(stream.covered_at[:point]):
+        if i in partials:
+            _apply_partial(img, records[i], partials[i])
+        elif (i <= at < point and i not in cancelled) or i in applied:
+            _apply_store(img, records[i])
+    return img
 
 
 def replay_full(stream: LineStream) -> PMImage:

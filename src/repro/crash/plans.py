@@ -43,7 +43,6 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import vector
 from repro.crash.linestream import FenceRec, LineStore, LineStream
 
 _MIX = 0x9E3779B97F4A7C15
@@ -54,22 +53,9 @@ def _mix(seq: int) -> int:
     return ((seq + 1) * _MIX) & _MASK
 
 
-def _mix_column_ref(n: int) -> List[int]:
+def _mix_column(n: int) -> List[int]:
     """``_mix(seq)`` for every stream position ``seq < n``."""
     return [_mix(seq) for seq in range(n)]
-
-
-def _mix_column_np(n: int) -> List[int]:
-    """:func:`_mix_column_ref` as one uint64 multiply: the wraparound
-    is exactly the ``& _MASK`` reduction.  Materialised back to a
-    Python list -- the planner looks values up a few at a time, where
-    ndarray fancy indexing costs more than list lookups."""
-    np = vector.numpy()
-    return (np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_MIX)).tolist()
-
-
-#: The numpy kernel when numpy imports, the reference otherwise.
-_mix_column = _mix_column_np if vector.HAVE_NUMPY else _mix_column_ref
 
 
 @dataclass(frozen=True)
@@ -161,32 +147,21 @@ class CrashPlanner:
 
         durable_hash = 0      # order-free content hash of the durable set
         n_durable = 0
-        pending_cpu: List[LineStore] = []
-        pending_dma: Dict[int, List[LineStore]] = {}
+        #: In-flight stores by seq; filled in stream order, so the
+        #: values are always in issue order.
+        flight_by_seq: Dict[int, LineStore] = {}
         cancelled = self.stream.cancelled
+        covered_at = self.stream.covered_at
         records = self.stream.records
         mix_col = _mix_column(len(records))
 
-        def make_durable(recs: List[LineStore]) -> None:
-            nonlocal durable_hash, n_durable
-            for r in recs:
-                durable_hash = (durable_hash + _mix(r.seq)) & _MASK
-                n_durable += 1
-
-        def inflight() -> List[LineStore]:
-            out = list(pending_cpu)
-            for lst in pending_dma.values():
-                out.extend(lst)
-            out.sort(key=lambda r: r.seq)
-            return out
-
         def visit(point: int, context: str) -> None:
-            flight = inflight()
+            flight = list(flight_by_seq.values())
             self.positions += 1
             self.raw_states += _raw_states(flight)
             lo = bisect_right(self._ends, point)
             hi = bisect_right(self._starts, point)
-            seqs = [r.seq for r in flight]
+            seqs = list(flight_by_seq)
             mixes = [mix_col[s] for s in seqs]
             mix_of = dict(zip(seqs, mixes))
             total = sum(mixes)
@@ -203,26 +178,20 @@ class CrashPlanner:
         for idx, rec in enumerate(records):
             if isinstance(rec, FenceRec):
                 visit(idx, rec.label)
-                if rec.scope is None:
-                    make_durable(pending_cpu)
-                    pending_cpu.clear()
-                else:
-                    ch, covered = rec.scope
-                    lst = pending_dma.get(ch, [])
-                    done = [r for r in lst if r.dep[1] <= covered]
-                    pending_dma[ch] = [r for r in lst
-                                       if r.dep[1] > covered]
-                    make_durable(done)
+                # The stores this fence makes durable leave the flight.
+                done = [s for s in flight_by_seq if covered_at[s] == idx]
+                for s in done:
+                    del flight_by_seq[s]
+                    durable_hash = (durable_hash + mix_col[s]) & _MASK
+                n_durable += len(done)
+            elif idx in cancelled:
+                continue
+            elif rec.immediate:
+                visit(idx, f"pre:{rec.mech}")
+                durable_hash = (durable_hash + mix_col[idx]) & _MASK
+                n_durable += 1
             else:
-                if rec.seq in cancelled:
-                    continue
-                if rec.immediate:
-                    visit(idx, f"pre:{rec.mech}")
-                    make_durable([rec])
-                elif rec.dep is None:
-                    pending_cpu.append(rec)
-                else:
-                    pending_dma.setdefault(rec.dep[0], []).append(rec)
+                flight_by_seq[idx] = rec
         visit(len(records), "end")
 
         chosen = [CrashPlan(*c) for c in self._sample(list(deduped.values()))]
