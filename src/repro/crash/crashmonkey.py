@@ -34,8 +34,9 @@ from itertools import repeat
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
+from repro.crash import linestream
 from repro.fs.nova import NovaFS
-from repro.fs.pmimage import PMImage
+from repro.fs.pmimage import PMImage, ReplayCursor
 from repro.fs.recovery import (TornLogEntryError,
                                completion_buffer_validator, recover)
 from repro.fs.structures import (PAGE_SIZE, FileKind, TornRecord,
@@ -69,30 +70,36 @@ def snapshot_with_content(fs, digests: Optional[dict] = None) -> Snapshot:
     """
     out: Snapshot = {}
     memo = {} if digests is None else digests
-    pages = fs.image.pages
-
-    def digest(m) -> str:
-        key = (m.size, tuple(map(pages.get, map(
-            m.index.get, range(-(-m.size // PAGE_SIZE))))))
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = _content_hash(fs, m)
-        return value
+    pages_get = fs.image.pages.get
+    mem = fs._mem
+    DIR = FileKind.DIR
+    #: ino -> its entry, for this walk: hard links name one inode many
+    #: times, and its digest is computed once.
+    seen: Dict[int, Tuple] = {}
 
     def walk(ino: int, prefix: str):
-        m = fs._mem.get(ino)
+        m = mem.get(ino)
         if m is None:
             return
         for name, child_ino in sorted(m.dentries.items()):
-            child = fs._mem.get(child_ino)
+            child = mem.get(child_ino)
             if child is None:
                 continue
             path = f"{prefix}/{name}"
-            if child.kind is FileKind.DIR:
+            if child.kind is DIR:
                 out[path] = ("dir", 0, None)
                 walk(child_ino, path)
-            else:
-                out[path] = ("file", child.size, digest(child))
+                continue
+            entry = seen.get(child_ino)
+            if entry is None:
+                size = child.size
+                key = (size, tuple(map(pages_get, map(
+                    child.index.get, range(-(-size // PAGE_SIZE))))))
+                digest = memo.get(key)
+                if digest is None:
+                    digest = memo[key] = _content_hash(fs, child)
+                entry = seen[child_ino] = ("file", size, digest)
+            out[path] = entry
 
     walk(0, "")
     return out
@@ -498,23 +505,16 @@ def run_crash_test(kind: str, workload: str, crash_points: int = 1000,
 
     report = CrashReport(workload=workload, kind=kind,
                          total_crash_points=len(points), passed=0)
-    # One recovery mount platform per sweep.  Every variant inherits
-    # mount, the allocator and recovery from NovaFS unchanged (only the
-    # SN validator differs by kind), and a bare NovaFS schedules
-    # nothing on the engine, so plans can share it.
-    platform = Platform(PlatformConfig.single_node())
+    judge = _Judge(validator_needed, digests, mechanisms=False)
+    cursor = ReplayCursor(image)
     # Ops run one at a time, so both mutation bounds are sorted.
     starts = [s for (s, _e, _sn) in oracle]
     ends = [e for (_s, e, _sn) in oracle]
     for k in points:
-        img = image.replay(k)
-        fs2 = NovaFS(platform, img)
-        validator = (completion_buffer_validator(img)
-                     if validator_needed else None)
-        recover(fs2, validator)
-        snap = snapshot_with_content(fs2, digests)
-        fail = _check_state(snap, oracle, bisect_right(ends, k),
-                            bisect_right(starts, k))
+        fail, snap = judge(cursor.advance(k), owned=False)
+        if fail is None:
+            fail = _check_state(snap, oracle, bisect_right(ends, k),
+                                bisect_right(starts, k))
         if fail is None:
             report.passed += 1
         else:
@@ -522,43 +522,148 @@ def run_crash_test(kind: str, workload: str, crash_points: int = 1000,
     return report
 
 
+def _layout(img: PMImage) -> Tuple[Tuple, Tuple]:
+    """``(key, objects)``: what recovery and the oracles read of a
+    post-crash image, pages aside.
+
+    The key holds the inodes, each inode's committed log prefix, the
+    journal, the completion buffers and the channel error SNs.  Inodes,
+    log entries and journal records are immutable and shared by every
+    image replayed from one recording, so they enter the key by
+    ``id()``: hashing ints is far cheaper than hashing the records.  An
+    id names one object only while that object lives; ``objects``
+    holds every object the key names, and :class:`_Judge` keeps it
+    for as long as it keeps the key.  Uncommitted log entries and the
+    allocation counters are left out: no check reads them (DESIGN.md
+    §13 argues both, and why pages are keyed apart).
+    """
+    logs = img.logs
+    inodes = tuple(img.inodes.values())
+    prefixes = [(ino, logs.get(ino, ())[:tail])
+                for ino, tail in img.log_tails.items()]
+    journal = tuple(img.journal)
+    key = (tuple(img.inodes), tuple(map(id, inodes)),
+           tuple([(ino, tuple(map(id, prefix))) for ino, prefix in prefixes]),
+           tuple(map(id, journal)), tuple(img.completion_buffers.items()),
+           tuple([(ch, frozenset(sns))
+                  for ch, sns in img.channel_error_sns.items()]))
+    return key, (inodes, prefixes, journal)
+
+
+class _Judge:
+    """Recover each distinct committed state of one sweep once.
+
+    Calling it with a post-crash image returns ``(failure, snapshot)``:
+    ``failure`` is a ``(check, detail)`` pair from recovery itself
+    (``torn-entry``) or, with ``mechanisms``, from
+    :func:`_mechanism_checks`, and ``snapshot`` the recovered
+    namespace when there is no failure.  The verdict is memoised on
+    the image's :func:`_layout` key plus the content (or absence:
+    ``None``) of every page the recovered index maps.  Which pages
+    those are depends on the layout alone -- recovery never reads page
+    content -- so the first recovery of a layout names them for every
+    later image with that layout.  No check reads anything else, so
+    equal keys recover to equal verdicts.  State legality depends on
+    each crash point's ``lo``/``hi`` and stays with the caller.
+
+    All recoveries share one mount platform: every variant inherits
+    mount, the allocator and recovery from NovaFS unchanged (only the
+    SN validator differs by kind), and a bare NovaFS schedules nothing
+    on the engine.
+    """
+
+    def __init__(self, validator_needed: bool, digests: Optional[dict],
+                 mechanisms: bool = True):
+        self.platform = Platform(PlatformConfig.single_node())
+        self.validator_needed = validator_needed
+        self.digests = digests
+        self.mechanisms = mechanisms
+        #: layout key -> (mapped page ids, {their contents: verdict},
+        #: the objects the key names by id).
+        self._layouts: Dict[Tuple, Tuple] = {}
+
+    def __call__(self, img: PMImage, owned: bool = True) -> Tuple:
+        """Judge ``img``; recovery mutates it, so pass ``owned=False``
+        for an image the caller still needs (it is forked first)."""
+        key, objects = _layout(img)
+        known = self._layouts.get(key)
+        if known is not None:
+            verdict = known[1].get(tuple(map(img.pages.get, known[0])))
+            if verdict is not None:
+                return verdict
+        if not owned:
+            img = img.fork()
+        verdict, mapped = self._recover(img)
+        if known is None:
+            known = self._layouts[key] = (mapped, {}, objects)
+        known[1][tuple(map(img.pages.get, mapped))] = verdict
+        return verdict
+
+    def _recover(self, img: PMImage) -> Tuple[Tuple, Tuple[int, ...]]:
+        """The verdict, and the page ids the recovered index maps."""
+        fs2 = NovaFS(self.platform, img)
+        validator = (completion_buffer_validator(img)
+                     if self.validator_needed else None)
+        try:
+            recover(fs2, validator)
+        except TornLogEntryError as exc:
+            return (("torn-entry", str(exc)), None), ()
+        mapped = tuple(pid for m in fs2._mem.values()
+                       for pid in m.index.values())
+        fail = (_mechanism_checks(fs2, img, validator)
+                if self.mechanisms else None)
+        if fail is not None:
+            return (fail, None), mapped
+        return (None, snapshot_with_content(fs2, self.digests)), mapped
+
+
+def plan_sweep(stream, oracle, validator_needed: bool, *,
+               per_signature: Optional[int], budget: Optional[int],
+               seed: int, digests: Optional[dict] = None):
+    """Plan, replay, recover and judge one stream's crash plans.
+
+    The one plan-check loop of the line sweep and the fuzzer's crash
+    detector.  Every plan is replayed from one
+    :class:`~repro.crash.linestream.LineCursor` (plans come sorted by
+    point), recovered once per distinct committed state (see
+    :class:`_Judge`), and then checked against the state oracle for
+    its own ``lo``/``hi`` window.  Returns the planner and one
+    ``(plan, failure)`` pair per plan, ``failure`` being None or a
+    ``(check, detail)`` pair.
+    """
+    from repro.crash.plans import CrashPlanner
+
+    planner = CrashPlanner(stream, per_signature=per_signature,
+                           budget=budget, seed=seed)
+    cursor = linestream.LineCursor(stream)
+    judge = _Judge(validator_needed, digests)
+    verdicts = []
+    for plan in planner.plans():
+        fail, snap = judge(linestream.replay_plan(stream, plan, cursor))
+        if fail is None:
+            fail = _check_state(snap, oracle, plan.lo, plan.hi)
+        verdicts.append((plan, fail))
+    return planner, verdicts
+
+
 def _line_sweep(kind: str, workload: str, image, oracle, validator_needed,
                 per_signature, budget, seed,
                 digests: Optional[dict] = None) -> CrashReport:
     """Replay every pruned crash plan and check recovery against the
     state oracle *and* the mechanism oracles."""
-    from repro.crash.linestream import replay_plan
-    from repro.crash.plans import CrashPlanner
-
-    stream = image.linestream
-    planner = CrashPlanner(stream, per_signature=per_signature,
-                           budget=budget, seed=seed)
-    plans = planner.plans()
+    planner, verdicts = plan_sweep(image.linestream, oracle,
+                                   validator_needed,
+                                   per_signature=per_signature,
+                                   budget=budget, seed=seed, digests=digests)
     report = CrashReport(workload=workload, kind=kind,
-                         total_crash_points=len(plans), passed=0,
+                         total_crash_points=len(verdicts), passed=0,
                          granularity="line",
                          raw_states=planner.raw_states,
                          plan_classes=dict(planner.plan_classes))
-    platform = Platform(PlatformConfig.single_node())  # see run_crash_test
-    for plan in plans:
-        img = replay_plan(stream, plan)
-        fs2 = NovaFS(platform, img)
-        validator = (completion_buffer_validator(img)
-                     if validator_needed else None)
-        try:
-            recover(fs2, validator)
-        except TornLogEntryError as exc:
-            report.failures.append(
-                CrashFailure(plan.point, "torn-entry", str(exc), plan.cls))
-            continue
-        fail = _mechanism_checks(fs2, img, validator)
-        if fail is None:
-            snap = snapshot_with_content(fs2, digests)
-            fail = _check_state(snap, oracle, plan.lo, plan.hi)
+    for plan, fail in verdicts:
         if fail is None:
             report.passed += 1
         else:
             report.failures.append(
                 CrashFailure(plan.point, fail[0], fail[1], plan.cls))
     return report
-

@@ -46,9 +46,12 @@ first fence that makes it durable.  :func:`base_durable`,
 
 Replaying a :class:`~repro.crash.plans.CrashPlan` (a point in the
 stream plus a chosen subset of the in-flight stores, some of them
-partially applied) produces a fresh :class:`PMImage` -- the post-crash
-state handed to recovery.  Partially applied multi-line log/journal
-records become :class:`~repro.fs.structures.TornEntry` /
+partially applied) produces a :class:`PMImage` of its own -- the
+post-crash state handed to recovery.  A sweep replays the stream once:
+a :class:`LineCursor` advances one base image through the plan points
+and each plan lands its stores on a fork of it.  Partially applied
+multi-line log/journal records become
+:class:`~repro.fs.structures.TornEntry` /
 :class:`~repro.fs.structures.TornRecord` sentinels.
 """
 
@@ -80,7 +83,10 @@ NEVER = sys.maxsize
 #: a new name, register the class here, give it an apply rule in
 #: ``_apply_store``/``_apply_partial``, and (if recovery must react to
 #: its torn/dropped shapes) extend the mechanism checks in
-#: ``crashmonkey._mechanism_checks``.  DESIGN.md §13 walks through it.
+#: ``crashmonkey._mechanism_checks``.  If its stores can be covered out
+#: of stream order relative to other writers of the same object (as DMA
+#: page data is), :class:`LineCursor` needs a last-writer rule for it
+#: in ``_land``.  DESIGN.md §13 walks through it.
 MECHANISMS: Dict[str, str] = {
     "page-data": "data",
     "log-append": "record",
@@ -394,23 +400,88 @@ def in_flight(stream: LineStream, point: int) -> List[LineStore]:
 # ----------------------------------------------------------------------
 # Plan replay: stream -> post-crash PMImage
 # ----------------------------------------------------------------------
-def replay_plan(stream: LineStream, plan) -> PMImage:
+class LineCursor:
+    """One base image advanced through increasing crash points of a
+    stream: the crash-plan counterpart of
+    :class:`~repro.fs.pmimage.ReplayCursor`.
+
+    At point ``p`` :attr:`image` holds exactly the stores guaranteed
+    durable at ``p`` (covered before ``p``, not cancelled).  Advancing
+    lands each store once, when the position of the fence that covers
+    it is passed, so a sweep over sorted plan points replays the
+    stream once instead of once per plan.
+
+    Cover order is stream order except for DMA ``page-data``: a store
+    announced early but covered late may be older than a page store
+    already in the image.  Page stores therefore land by a
+    last-writer-by-seq rule per page id (:attr:`page_seq` holds the
+    seq of each page's current content), which gives every page the
+    content a stream-order replay would.  Every other object is
+    written only by CPU stores -- covered in stream order, since a
+    global fence covers all earlier CPU stores -- or by immediate
+    stores no other mechanism touches (completion buffers) or whose
+    apply rule commutes (the allocation counters' ``max``).  DESIGN.md
+    §13 gives the argument.
+
+    The stream must not grow while a cursor walks it.
+    """
+
+    def __init__(self, stream: LineStream):
+        self.stream = stream
+        covers: Dict[int, List[int]] = {}
+        cancelled = stream.cancelled
+        for i, at in enumerate(stream.covered_at):
+            if i <= at < NEVER and i not in cancelled:
+                covers.setdefault(at, []).append(i)
+        #: Fence (or immediate store) position -> the seqs it makes
+        #: durable, in stream order.
+        self._covers = covers
+        self.image = PMImage(record=False)
+        self.page_seq: Dict[int, int] = {}
+        self.point = 0
+
+    def advance(self, point: int) -> PMImage:
+        """The base image of a crash at ``point``."""
+        if point < self.point:
+            self.image, self.page_seq, self.point = \
+                PMImage(record=False), {}, 0
+        img, page_seq = self.image, self.page_seq
+        records, covers = self.stream.records, self._covers
+        for at in range(self.point, point):
+            for s in covers.get(at, ()):
+                _land(img, records[s], None, page_seq, page_seq)
+        self.point = point
+        return img
+
+
+def replay_plan(stream: LineStream, plan,
+                cursor: Optional[LineCursor] = None) -> PMImage:
     """Materialise one crash plan into a fresh (non-recording) image.
 
-    One pass over ``records[:point]`` in stream order: a store in
-    ``plan.partials`` lands its chosen lines; otherwise a store lands
-    whole if it is guaranteed durable at the point (covered before it,
-    not cancelled) or in the plan's chosen in-flight subset.
+    The image is the cursor's base at ``plan.point`` (every store
+    guaranteed durable there), forked, plus the plan's chosen
+    in-flight stores in stream order: a store in ``plan.partials``
+    lands its chosen lines, one in ``plan.applied`` lands whole.
+    ``applied`` may name any seq, as in a stream-order replay: a store
+    already durable at the point lands once, one at or past it not at
+    all; ``partials`` name in-flight stores.  Sweeps pass one
+    ``cursor`` for all their plans, in point order; without one, a
+    fresh cursor replays the prefix.
     """
-    img = PMImage(record=False)
-    point, applied = plan.point, plan.applied
+    fresh = cursor is None
+    if fresh:
+        cursor = LineCursor(stream)
+    point = plan.point
+    base = cursor.advance(point)
+    img = base if fresh else base.fork()
     partials = dict(plan.partials)
-    records, cancelled = stream.records, stream.cancelled
-    for i, at in enumerate(stream.covered_at[:point]):
-        if i in partials:
-            _apply_partial(img, records[i], partials[i])
-        elif (i <= at < point and i not in cancelled) or i in applied:
-            _apply_store(img, records[i])
+    covered_at, cancelled = stream.covered_at, stream.cancelled
+    records = stream.records
+    page_seq: Dict[int, int] = {}
+    for s in sorted(partials.keys() | plan.applied):
+        if s < point and (covered_at[s] >= point or s in cancelled):
+            _land(img, records[s], partials.get(s), page_seq,
+                  cursor.page_seq)
     return img
 
 
@@ -427,6 +498,24 @@ def replay_full(stream: LineStream) -> PMImage:
         point=end,
         applied=frozenset(s.seq for s in in_flight(stream, end)),
         partials={}))
+
+
+def _land(img: PMImage, rec: LineStore, lines: Optional[Tuple[int, ...]],
+          page_seq: Dict[int, int], base_seq: Dict[int, int]) -> None:
+    """Land ``rec`` whole (``lines`` None) or only ``lines`` of it.
+
+    A page store older than the page's current content is a no-op;
+    that content's seq is in ``page_seq``, else in ``base_seq``.
+    """
+    if rec.mech == "page-data":
+        pid = rec.obj[1]
+        if page_seq.get(pid, base_seq.get(pid, -1)) > rec.seq:
+            return
+        page_seq[pid] = rec.seq
+    if lines is None:
+        _apply_store(img, rec)
+    else:
+        _apply_partial(img, rec, lines)
 
 
 def _apply_store(img: PMImage, rec: LineStore) -> None:

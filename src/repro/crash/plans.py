@@ -36,6 +36,7 @@ and seed produce the identical plan list (tests pin this).
 
 from __future__ import annotations
 
+import heapq
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -227,11 +228,19 @@ class CrashPlanner:
             by_sig: Dict[str, List[_Cand]] = {}
             for c in kept:
                 by_sig.setdefault(c[_SIG], []).append(c)
-            while sum(len(v) for v in by_sig.values()) > self.budget:
-                sig = max(sorted(by_sig), key=lambda s: len(by_sig[s]))
-                if len(by_sig[sig]) <= 1:
+            # Trim the largest group (ties: the smallest signature)
+            # one plan at a time, never below one plan per group.
+            heap = [(-len(grp), sig) for sig, grp in by_sig.items()]
+            heapq.heapify(heap)
+            total = len(kept)
+            while total > self.budget:
+                _neg, sig = heap[0]
+                grp = by_sig[sig]
+                if len(grp) <= 1:
                     break
-                by_sig[sig].pop(rng.randrange(1, len(by_sig[sig])))
+                grp.pop(rng.randrange(1, len(grp)))
+                total -= 1
+                heapq.heapreplace(heap, (-len(grp), sig))
             kept = [c for sig in sorted(by_sig) for c in by_sig[sig]]
         kept.sort(key=_order)
         return kept

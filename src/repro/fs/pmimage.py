@@ -265,9 +265,29 @@ class PMImage:
         """Build the post-crash image from the first ``upto`` mutations."""
         if not self.recording:
             raise RuntimeError("replay() requires an image created with record=True")
+        return ReplayCursor(self).advance(upto)
+
+    def fork(self) -> "PMImage":
+        """A non-recording copy that shares only immutable values.
+
+        Every container is copied one level deep (the per-inode log
+        lists and the per-channel error-SN sets too), so neither the
+        fork nor its source can see the other's later mutations --
+        replaying more records, a crash plan's in-flight stores, or
+        recovery retiring journal records and dropping orphans.  Log
+        entries, inodes and page contents are immutable and shared.
+        """
         img = PMImage(record=False)
-        for rec in self.mutations[:upto]:
-            img.apply(rec)
+        img.pages = dict(self.pages)
+        img.inodes = dict(self.inodes)
+        img.logs = {ino: log[:] for ino, log in self.logs.items()}
+        img.log_tails = dict(self.log_tails)
+        img.journal = self.journal[:]
+        img.completion_buffers = dict(self.completion_buffers)
+        img.channel_error_sns = {ch: set(sns) for ch, sns
+                                 in self.channel_error_sns.items()}
+        img.next_ino = self.next_ino
+        img.next_page = self.next_page
         return img
 
     def apply(self, rec: MutationRecord) -> None:
@@ -333,3 +353,29 @@ class PMImage:
     def page_bytes(self) -> int:
         """Rough count of live data pages."""
         return len(self.pages)
+
+
+class ReplayCursor:
+    """One image advanced through increasing crash points of a recording.
+
+    ``advance(k)`` applies ``mutations[point:k]`` to :attr:`image`, so a
+    sweep over sorted crash points replays each mutation once instead
+    of once per point; callers that go on to mutate a point's image
+    (recovery does) take a :meth:`PMImage.fork` of it.  Moving
+    backwards starts over from an empty image.
+    """
+
+    def __init__(self, source: PMImage):
+        self._mutations = source.mutations
+        self.image = PMImage(record=False)
+        self.point = 0
+
+    def advance(self, point: int) -> PMImage:
+        """The image holding exactly the first ``point`` mutations."""
+        if point < self.point:
+            self.image, self.point = PMImage(record=False), 0
+        apply = self.image.apply
+        for rec in self._mutations[self.point:point]:
+            apply(rec)
+        self.point = point
+        return self.image

@@ -18,7 +18,7 @@ the recovery logic"):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Optional, Set, Tuple
 
 from repro.fs.pmimage import PMImage
 from repro.fs.structures import (
@@ -169,28 +169,3 @@ def recover(fs, sn_validator: Optional[SnValidator] = None):
     fs.recovered_discarded_entries = discarded_entries
     return fs
 
-
-def snapshot_namespace(fs) -> Dict[str, Tuple]:
-    """Flatten a filesystem into {path: (kind, size, content-digest)}.
-
-    Used by the crash-consistency checker to compare a recovered
-    filesystem against the set of legal post-crash states.
-    """
-    out: Dict[str, Tuple] = {}
-
-    def walk(ino: int, prefix: str):
-        m = fs._mem[ino]
-        for name, child_ino in sorted(m.dentries.items()):
-            child = fs._mem.get(child_ino)
-            if child is None:
-                continue
-            path = f"{prefix}/{name}"
-            if child.kind is FileKind.DIR:
-                out[path] = ("dir", 0, None)
-                walk(child_ino, path)
-            else:
-                digest = tuple(sorted(child.index.items()))
-                out[path] = ("file", child.size, digest)
-
-    walk(0, "")
-    return out

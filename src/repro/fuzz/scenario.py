@@ -37,12 +37,12 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.crash.crashmonkey import (_check_state, _mechanism_checks,
-                                     snapshot_with_content)
-from repro.fs.nova import DeadlineExceeded, FsError, NovaFS
+from repro.crash.crashmonkey import plan_sweep, snapshot_with_content
+from repro.fs.nova import DeadlineExceeded, FsError
 from repro.fs.pmimage import PMImage
-from repro.fs.recovery import (TornLogEntryError,
-                               completion_buffer_validator, recover)
+# Not called here: plan_sweep recovers.  The name stays importable from
+# this module, where e2ebench's boundary timers wrap it.
+from repro.fs.recovery import recover  # noqa: F401
 from repro.hw.platform import Platform, PlatformConfig
 from repro.obs import TraceChecker, Tracer, default_tracing
 from repro.obs.coverage import (ack_gap_buckets, counter_buckets,
@@ -388,35 +388,13 @@ def _differential(t, tracer, outcomes, op_ids, reads, target_snap,
 def _crash_section(t, stream, oracle, digests):
     """Replay the planner's crash plans through recovery; returns the
     planner, the findings and the number of plans replayed."""
-    from repro.crash.linestream import replay_plan
-    from repro.crash.plans import CrashPlanner
-
-    planner = CrashPlanner(stream, per_signature=t.crash.per_signature,
-                           budget=t.crash.budget, seed=t.crash.seed)
-    findings: List[Finding] = []
-    validator_needed = t.kind in ("easyio", "naive")
-    plans = planner.plans()
-    # One recovery mount platform for every plan (see
-    # repro.crash.crashmonkey.run_crash_test).
-    platform = Platform(PlatformConfig.single_node())
-    for plan in plans:
-        img = replay_plan(stream, plan)
-        fs2 = NovaFS(platform, img)
-        validator = (completion_buffer_validator(img)
-                     if validator_needed else None)
-        try:
-            recover(fs2, validator)
-        except TornLogEntryError as exc:
-            findings.append(Finding("crash", "torn-entry", str(exc),
-                                    plan.cls))
-            continue
-        fail = _mechanism_checks(fs2, img, validator)
-        if fail is None:
-            snap = snapshot_with_content(fs2, digests)
-            fail = _check_state(snap, oracle, plan.lo, plan.hi)
-        if fail is not None:
-            findings.append(Finding("crash", fail[0], fail[1], plan.cls))
-    return planner, findings, len(plans)
+    planner, verdicts = plan_sweep(
+        stream, oracle, t.kind in ("easyio", "naive"),
+        per_signature=t.crash.per_signature, budget=t.crash.budget,
+        seed=t.crash.seed, digests=digests)
+    findings = [Finding("crash", fail[0], fail[1], plan.cls)
+                for plan, fail in verdicts if fail is not None]
+    return planner, findings, len(verdicts)
 
 
 def _net_section(t, net_tracers):

@@ -3,11 +3,7 @@ orphans)."""
 
 
 from repro.fs import NovaFS, PMImage
-from repro.fs.recovery import (
-    completion_buffer_validator,
-    recover,
-    snapshot_namespace,
-)
+from repro.fs.recovery import completion_buffer_validator, recover
 from repro.fs.structures import (PAGE_SIZE, DentryEntry, FileKind, Inode,
                                  WriteEntry)
 from repro.hw.platform import Platform, PlatformConfig
@@ -25,6 +21,32 @@ def _root_with_file(img, ino=1, name="f"):
     img.put_inode(ino, Inode(ino, FileKind.FILE, 1, 0))
     img.append_log(0, DentryEntry(name, ino, FileKind.FILE, True, 0))
     img.commit_log_tail(0, 1)
+
+
+def snapshot_namespace(fs):
+    """Flatten a filesystem into {path: (kind, size, page index)}.
+
+    The page index is each file's sorted (pgoff, page_id) pairs, so a
+    recovery that drops, swaps or misdirects page mappings changes it
+    even when the pages hold no payload.
+    """
+    out = {}
+
+    def walk(ino, prefix):
+        for name, child_ino in sorted(fs._mem[ino].dentries.items()):
+            child = fs._mem.get(child_ino)
+            if child is None:
+                continue
+            path = f"{prefix}/{name}"
+            if child.kind is FileKind.DIR:
+                out[path] = ("dir", 0, None)
+                walk(child_ino, path)
+            else:
+                out[path] = ("file", child.size,
+                             tuple(sorted(child.index.items())))
+
+    walk(0, "")
+    return out
 
 
 def build_and_crash(scenario, upto=None):
