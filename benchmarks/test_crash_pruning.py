@@ -4,60 +4,41 @@ The pruning claim: on generic_056 the line planner's mechanism
 reasoning reaches the same verdict (all plans pass) while replaying at
 least 5x fewer states than the 1000-point page sweep -- and those
 plans stand in for an astronomically larger raw line-subset space.
-
-Also pins the parallel crash-sweep runner: the multiprocessing pool
-must return byte-identical summaries to the serial path for all four
-Table 2 workloads.
 """
 
 from benchmarks.conftest import run_once, show
 from repro.analysis.report import banner, fmt_table
-from repro.analysis.sweep import run_crash_sweep
-from repro.crash import CRASH_WORKLOADS, run_crash_test
+from repro.analysis.sweep import crash_point, run_points
 
 BRUTE_POINTS = 1000
 PRUNE_FACTOR = 5
 
 
 def reproduce():
-    brute = run_crash_test("easyio", "generic_056",
-                           crash_points=BRUTE_POINTS)
-    pruned = run_crash_test("easyio", "generic_056", granularity="line",
-                            per_signature=3)
-    return brute, pruned
+    return run_points(crash_point, [
+        {"kind": "easyio", "workload": "generic_056",
+         "crash_points": BRUTE_POINTS},
+        {"kind": "easyio", "workload": "generic_056", "granularity": "line",
+         "per_signature": 3}])
 
 
 def test_crash_pruning_vs_brute(benchmark):
     brute, pruned = run_once(benchmark, reproduce)
+    raw_states = int(pruned["raw_states"])
     show(banner("Crash-state pruning: page brute force vs line plans "
                 "(easyio/generic_056)"))
     show(fmt_table(
         ["sweep", "states replayed", "passed", "raw line states"],
-        [["page (brute)", brute.total_crash_points, brute.passed, "-"],
-         ["line (pruned)", pruned.total_crash_points, pruned.passed,
-          f"{pruned.raw_states:.2e}"]]))
+        [["page (brute)", brute["total_crash_points"], brute["passed"], "-"],
+         ["line (pruned)", pruned["total_crash_points"], pruned["passed"],
+          f"{raw_states:.2e}"]]))
     # Same verdict...
-    assert brute.all_passed, brute.failures[:3]
-    assert pruned.all_passed, pruned.failures[:3]
+    for summary in (brute, pruned):
+        assert summary["passed"] == summary["total_crash_points"], \
+            summary["failures"][:3]
     # ...with >= 5x fewer replayed states...
-    assert pruned.total_crash_points * PRUNE_FACTOR \
-        <= brute.total_crash_points, \
-        (pruned.total_crash_points, brute.total_crash_points)
+    assert pruned["total_crash_points"] * PRUNE_FACTOR \
+        <= brute["total_crash_points"], \
+        (pruned["total_crash_points"], brute["total_crash_points"])
     # ...standing in for an astronomically larger raw state space.
-    assert pruned.raw_states > 10 ** 30
-
-
-def test_crash_sweep_parallel_determinism():
-    """Serial and 2-worker pool runs of the Table 2 line sweep return
-    identical summaries, in input order (all four workloads)."""
-    specs = [{"kind": "easyio", "workload": wl, "granularity": "line",
-              "per_signature": 2}
-             for wl in sorted(CRASH_WORKLOADS)]
-    serial = run_crash_sweep(specs, processes=1)
-    pooled = run_crash_sweep(specs, processes=2)
-    assert serial == pooled
-    assert [s["workload"] for s in serial] == sorted(CRASH_WORKLOADS)
-    for summary in serial:
-        assert summary["all_passed"], summary
-        assert summary["granularity"] == "line"
-        assert summary["raw_states"] > 0
+    assert raw_states > 10 ** 30

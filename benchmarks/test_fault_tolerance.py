@@ -9,9 +9,12 @@ still passes 1000/1000 crash points when the crash points land inside
 the retry/failover windows.
 """
 
+import functools
+
 from benchmarks.conftest import run_once, show
 from repro.analysis.report import banner, fmt_table
-from repro.crash import CRASH_WORKLOADS, run_crash_test
+from repro.analysis.sweep import crash_point, run_points
+from repro.crash import CRASH_WORKLOADS
 from repro.faults import ChannelHaltFault, FaultPlan, TransferErrorFault
 from repro.hw.platform import Platform, PlatformConfig
 from repro.workloads.factory import make_fs
@@ -99,13 +102,16 @@ def reproduce():
     out["dead"] = (fs2.fault_stats, plan2, t_dead, n2)
 
     # Crash consistency with crash points inside retry/failover windows.
-    out["crash"] = {
-        wl: run_crash_test(
-            "easyio", wl, crash_points=CRASH_POINTS,
-            fault_plan=lambda: FaultPlan(
-                seed=42, p_xfer_error=0.02, p_media=0.02, max_faults=24,
-                schedule=(ChannelHaltFault(0, 5), TransferErrorFault(1, 9))))
-        for wl in sorted(CRASH_WORKLOADS)}
+    # The plan factory is a partial (the faults are frozen), so the
+    # pool can pickle it.
+    fault_plan = functools.partial(
+        FaultPlan, seed=42, p_xfer_error=0.02, p_media=0.02, max_faults=24,
+        schedule=(ChannelHaltFault(0, 5), TransferErrorFault(1, 9)))
+    workloads = sorted(CRASH_WORKLOADS)
+    out["crash"] = dict(zip(workloads, run_points(crash_point, [
+        {"kind": "easyio", "workload": wl, "crash_points": CRASH_POINTS,
+         "fault_plan": fault_plan}
+        for wl in workloads])))
     return out
 
 
@@ -140,9 +146,9 @@ def test_fault_tolerance(benchmark):
                 "retry/failover windows)"))
     rows = []
     for wl, report in out["crash"].items():
-        rows.append([wl, report.total_crash_points, report.passed])
-        assert report.all_passed, \
-            f"{wl}: {len(report.failures)} failures, " \
-            f"e.g. {report.failures[:3]}"
-        assert report.total_crash_points >= 900
+        rows.append([wl, report["total_crash_points"], report["passed"]])
+        assert report["passed"] == report["total_crash_points"], \
+            f"{wl}: {len(report['failures'])} failures, " \
+            f"e.g. {report['failures'][:3]}"
+        assert report["total_crash_points"] >= 900
     show(fmt_table(["workload", "crash points", "passed"], rows))

@@ -13,7 +13,8 @@ Reproduced claims:
 
 from benchmarks.conftest import run_once, show
 from repro.analysis.report import banner, fmt_table
-from repro.workloads import FxmarkConfig, run_fxmark
+from repro.analysis.sweep import fxmark_point, run_points
+from repro.workloads import FxmarkConfig
 
 CORES = [1, 2, 4, 6, 8, 12, 16, 18]
 KINDS = ["nova", "nova-dma", "odinfs", "easyio"]
@@ -23,18 +24,7 @@ PAPER_CORES_AT_PEAK = {
     ("read", 16384): {"nova": 18, "nova-dma": 8, "odinfs": 12, "easyio": 16},
     ("read", 65536): {"nova": 18, "nova-dma": 8, "odinfs": 10, "easyio": 16},
 }
-
-
-def sweep(kind, op, size):
-    points = []
-    for cores in CORES:
-        if kind == "odinfs" and cores > 12:
-            break
-        r = run_fxmark(FxmarkConfig(kind=kind, op=op, io_size=size,
-                                    workers=cores, duration_us=1200,
-                                    warmup_us=300))
-        points.append((cores, r.throughput_ops, r.mean_us, r.p99_us))
-    return points
+PANELS = [(op, size) for op in ("write", "read") for size in (16384, 65536)]
 
 
 def cores_at_peak(points, tolerance=0.97):
@@ -46,8 +36,19 @@ def cores_at_peak(points, tolerance=0.97):
 
 
 def reproduce():
-    return {(op, size): {kind: sweep(kind, op, size) for kind in KINDS}
-            for op in ("write", "read") for size in (16384, 65536)}
+    """Every (panel, fs, cores) point on one pool; Odinfs stops at 12."""
+    grid = [(op, size, kind, cores) for op, size in PANELS
+            for kind in KINDS for cores in CORES
+            if not (kind == "odinfs" and cores > 12)]
+    results = run_points(fxmark_point, [
+        FxmarkConfig(kind=kind, op=op, io_size=size, workers=cores,
+                     duration_us=1200, warmup_us=300)
+        for op, size, kind, cores in grid])
+    data = {panel: {kind: [] for kind in KINDS} for panel in PANELS}
+    for (op, size, kind, cores), r in zip(grid, results):
+        data[(op, size)][kind].append(
+            (cores, r["throughput_ops"], r["mean_us"], r["p99_us"]))
+    return data
 
 
 def test_fig09_throughput_vs_latency(benchmark):

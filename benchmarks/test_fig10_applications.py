@@ -8,7 +8,7 @@ under the Webserver's shared-log contention EasyIO trails Odinfs.
 
 from benchmarks.conftest import run_once, show
 from repro.analysis.report import banner, fmt_table
-from repro.workloads.apps import run_app
+from repro.analysis.sweep import app_point, run_points
 
 CORES = [2, 4, 8, 12, 16]
 #: Paper speedups over NOVA and the bands we assert (min, max).
@@ -25,22 +25,20 @@ KINDS = ["nova", "nova-dma", "odinfs", "easyio"]
 DURATION = {"jpgdecoder": 120_000}
 
 
-def sweep(kind, app):
-    dur = DURATION.get(app, 25_000)
-    out = []
-    for cores in CORES:
-        if kind == "odinfs" and cores > 12:
-            break
-        r = run_app(kind, app, cores, duration_us=dur,
-                    warmup_us=dur // 5)
-        out.append((cores, r.throughput_ops))
-    return out
-
-
 def reproduce():
+    """Every (app, fs, cores) point on one pool; Odinfs stops at 12."""
     apps = list(PAPER) + ["webserver"]
-    return {app: {kind: sweep(kind, app) for kind in KINDS}
-            for app in apps}
+    grid = [(app, kind, cores) for app in apps for kind in KINDS
+            for cores in CORES if not (kind == "odinfs" and cores > 12)]
+    results = run_points(app_point, [
+        {"kind": kind, "app_name": app, "cores": cores,
+         "duration_us": DURATION.get(app, 25_000),
+         "warmup_us": DURATION.get(app, 25_000) // 5}
+        for app, kind, cores in grid])
+    data = {app: {kind: [] for kind in KINDS} for app in apps}
+    for (app, kind, cores), r in zip(grid, results):
+        data[app][kind].append((cores, r["throughput_ops"]))
+    return data
 
 
 def test_fig10_real_world_applications(benchmark):

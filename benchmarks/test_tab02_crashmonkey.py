@@ -10,19 +10,21 @@ is unfinished.
 
 from benchmarks.conftest import run_once, show
 from repro.analysis.report import banner, fmt_table
-from repro.crash import CRASH_WORKLOADS, run_crash_test
+from repro.analysis.sweep import crash_point, run_points
+from repro.crash import CRASH_WORKLOADS
 
 CRASH_POINTS = 1000
+WORKLOADS = sorted(CRASH_WORKLOADS)
 
 
 def reproduce():
     # trace_oracles: the recording run of every workload is traced and
     # replayed through the invariant oracles (ack-implies-durable, SN
     # monotonicity, ...) before the crash points are examined.
-    return {workload: run_crash_test("easyio", workload,
-                                     crash_points=CRASH_POINTS,
-                                     trace_oracles=True)
-            for workload in sorted(CRASH_WORKLOADS)}
+    return dict(zip(WORKLOADS, run_points(crash_point, [
+        {"kind": "easyio", "workload": workload,
+         "crash_points": CRASH_POINTS, "trace_oracles": True}
+        for workload in WORKLOADS])))
 
 
 def test_tab02_crash_consistency(benchmark):
@@ -31,14 +33,14 @@ def test_tab02_crash_consistency(benchmark):
     rows = []
     for workload, report in reports.items():
         desc = CRASH_WORKLOADS[workload][0]
-        rows.append([workload, desc, report.total_crash_points,
-                     report.passed])
+        rows.append([workload, desc, report["total_crash_points"],
+                     report["passed"]])
     show(fmt_table(["workload", "description", "crash points", "passed"],
                    rows))
     for workload, report in reports.items():
-        assert report.all_passed, \
-            f"{workload}: {len(report.failures)} failures, " \
-            f"e.g. {report.failures[:3]}"
+        assert report["passed"] == report["total_crash_points"], \
+            f"{workload}: {len(report['failures'])} failures, " \
+            f"e.g. {report['failures'][:3]}"
         # The paper runs 1000 points per workload; our mutation logs
         # must be dense enough to give (close to) that many.
-        assert report.total_crash_points >= 900
+        assert report["total_crash_points"] >= 900

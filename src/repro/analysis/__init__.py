@@ -9,8 +9,7 @@ each reproduced figure/table.
 from repro.analysis.metrics import (FaultStats, LatencySeries, OverloadStats,
                                     Timeline, ThroughputMeter)
 from repro.analysis.report import banner, fmt_counters, fmt_series, fmt_table
-from repro.analysis.sweep import (fxmark_point, fxmark_sweep, run_sweep,
-                                  summarize)
+from repro.analysis.sweep import fxmark_point, fxmark_sweep, run_points
 
 __all__ = [
     "FaultStats",
@@ -24,6 +23,5 @@ __all__ = [
     "fmt_table",
     "fxmark_point",
     "fxmark_sweep",
-    "run_sweep",
-    "summarize",
+    "run_points",
 ]

@@ -2,9 +2,10 @@
 
 A campaign is a sequence of *generations*.  Each generation picks
 mutation parents from the corpus by energy (seeded RNG), mutates them,
-and ships the batch to :func:`repro.analysis.sweep.run_fuzz_batch` --
-the same order-preserving pool used by every other sweep in the repo.
-Results are merged back **sequentially, in batch order**.
+and ships the batch to :func:`repro.analysis.sweep.run_points` with
+:func:`~repro.analysis.sweep.fuzz_point` -- the same order-preserving
+pool every figure grid runs on.  Results are merged back
+**sequentially, in batch order**.
 
 That batching is what makes the campaign bit-reproducible at any
 worker count: the contents of generation *g* depend only on the corpus
@@ -113,7 +114,7 @@ def _spec(t: ScenarioTuple, mutant: Optional[str]) -> dict:
 def run_campaign(config: FuzzConfig,
                  seeds: Optional[List[ScenarioTuple]] = None) -> CampaignReport:
     """Run one seeded campaign to its budget (see module docstring)."""
-    from repro.analysis.sweep import run_fuzz_batch
+    from repro.analysis import sweep
 
     rng = random.Random(config.seed)
     report = CampaignReport(config=config)
@@ -149,13 +150,18 @@ def run_campaign(config: FuzzConfig,
         return (config.stop_after_failures
                 and len(report.failures) >= config.stop_after_failures)
 
+    def run_generation(batch) -> None:
+        # sweep.fuzz_point is looked up per generation, so a wrapper
+        # installed on the module (the per-layer tracer) sees every run.
+        results = sweep.run_points(
+            sweep.fuzz_point, [_spec(t, config.mutant) for _, t in batch],
+            processes=config.processes)
+        for (parent, t), rd in zip(batch, results):
+            merge(parent, t, ScenarioResult.from_dict(rd))
+        report.generations += 1
+
     # Generation 0: the seeds themselves.
-    batch = [(None, s) for s in seeds[:config.budget]]
-    results = run_fuzz_batch([_spec(t, config.mutant) for _, t in batch],
-                             processes=config.processes)
-    for (parent, t), rd in zip(batch, results):
-        merge(parent, t, ScenarioResult.from_dict(rd))
-    report.generations = 1
+    run_generation([(None, s) for s in seeds[:config.budget]])
 
     while not done() and corpus:
         n = min(config.batch, config.budget - report.executed)
@@ -174,12 +180,7 @@ def run_campaign(config: FuzzConfig,
                     break
             seen_keys.add(child.key())
             batch.append((parent, child))
-        results = run_fuzz_batch(
-            [_spec(t, config.mutant) for _, t in batch],
-            processes=config.processes)
-        for (parent, t), rd in zip(batch, results):
-            merge(parent, t, ScenarioResult.from_dict(rd))
-        report.generations += 1
+        run_generation(batch)
 
     report.corpus_size = len(corpus)
     return report

@@ -19,10 +19,10 @@ remaining single paths are checked against the code that had them.
 import json
 import os
 
-from repro.analysis.sweep import run_sweep
-from repro.crash import CRASH_WORKLOADS, run_crash_test
+from repro.analysis.sweep import (app_point, crash_point, fxmark_point,
+                                  run_points)
+from repro.crash import CRASH_WORKLOADS
 from repro.workloads import FxmarkConfig
-from repro.workloads.apps import run_app
 from repro.workloads.fxmark import measure_single_op
 from repro.workloads.hwbench import measure_copy_bandwidth
 
@@ -71,7 +71,7 @@ def fig08(elide=False):
     return out
 
 
-def fig09(elide=False, processes=1):
+def fig09(elide=False, processes=None):
     """The 16-point sweep.  ``elide``/``processes`` must not change a
     single number (the equivalence tests run all combinations)."""
     keys, configs = [], []
@@ -82,43 +82,34 @@ def fig09(elide=False, processes=1):
                 configs.append(FxmarkConfig(
                     kind=kind, op=op, io_size=16384, workers=workers,
                     duration_us=1200, warmup_us=300, elide=elide))
-    return dict(zip(keys, run_sweep(configs, processes=processes)))
+    return dict(zip(keys, run_points(fxmark_point, configs,
+                                     processes=processes)))
 
 
 def fig10():
     """Application throughput / latency summaries (Figure 10)."""
-    out = {}
+    keys, specs = [], []
     for app in FIG10_APPS:
         duration = FIG10_DURATION_US.get(app, FIG10_DEFAULT_DURATION_US)
         for kind in FIG10_KINDS:
             for cores in FIG10_CORES:
-                r = run_app(kind, app, cores, duration_us=duration,
-                            warmup_us=duration // 5)
-                out[f"{kind}/{app}/{cores}"] = {
-                    "throughput_ops": r.throughput_ops,
-                    "total_ops": r.total_ops,
-                    "mean_us": r.latency.mean_us(),
-                    "p99_us": r.latency.p99_us(),
-                    "cpu_busy_fraction": r.cpu_busy_fraction,
-                }
-    return out
+                keys.append(f"{kind}/{app}/{cores}")
+                specs.append({"kind": kind, "app_name": app,
+                              "cores": cores, "duration_us": duration,
+                              "warmup_us": duration // 5})
+    return dict(zip(keys, run_points(app_point, specs)))
 
 
 def table2():
     """Line-granularity crash-sweep verdicts (Table 2 workloads)."""
-    out = {}
+    keys, specs = [], []
     for workload in sorted(CRASH_WORKLOADS):
         for kind in TABLE2_KINDS:
-            rep = run_crash_test(kind, workload, granularity="line",
-                                 per_signature=3, plan_seed=0)
-            out[f"line/{kind}/{workload}"] = {
-                "total_crash_points": rep.total_crash_points,
-                "passed": rep.passed,
-                "raw_states": str(rep.raw_states),
-                "plan_classes": dict(sorted(rep.plan_classes.items())),
-                "failures": [list(map(str, f)) for f in rep.failures],
-            }
-    return out
+            keys.append(f"line/{kind}/{workload}")
+            specs.append({"kind": kind, "workload": workload,
+                          "granularity": "line", "per_signature": 3,
+                          "plan_seed": 0})
+    return dict(zip(keys, run_points(crash_point, specs)))
 
 
 def capture():

@@ -87,7 +87,9 @@ def test_fig08_elided_payloads_exact(golden):
 
 @pytest.mark.slow
 def test_fig09_elided_payloads_exact(golden):
-    _assert_exact(fig09(elide=True), golden["fig09"], "fig09[elide]")
+    # Serial, so elision alone is checked; the next test adds the pool.
+    _assert_exact(fig09(elide=True, processes=1), golden["fig09"],
+                  "fig09[elide]")
 
 
 @pytest.mark.slow
@@ -115,10 +117,12 @@ def test_fig08_traced_exact(golden):
 @pytest.mark.slow
 def test_fig09_traced_ring_buffer_exact(golden):
     # Ring-buffer mode on a long sweep: bounded memory, same numbers.
+    # Serial: the tracer factory and its collect list live in this
+    # process, so pool workers would trace into lists nobody reads.
     capacity = 4096
     tracers = []
     with default_tracing(capacity=capacity, collect=tracers):
-        actual = fig09()
+        actual = fig09(processes=1)
     _assert_exact(actual, golden["fig09"], "fig09[traced+ring]")
     assert tracers, "nothing was traced"
     assert all(len(tr) <= capacity for tr in tracers)

@@ -1,19 +1,25 @@
-"""The parallel sweep runner is deterministic and order-preserving.
+"""The sweep runner is deterministic and order-preserving.
 
-Every sweep point runs in a fresh engine with a fixed seed, so the
-multiprocessing fan-out must return byte-identical summaries for any
-worker count -- including the serial in-process fallback.  These tests
-use short runs (hundreds of microseconds of simulated time) to keep
-the fork cost the dominant term.
+Every point runs in a fresh engine with a fixed seed, so the
+multiprocessing fan-out must return identical summaries for any
+worker count -- including the serial in-process fallback -- for every
+kind of point the figure grids run.  The specs are short (hundreds of
+microseconds of simulated time, small crash-plan budgets) to keep the
+fork cost the dominant term.
 """
+
+import multiprocessing
 
 import pytest
 
-from repro.analysis.sweep import fxmark_point, fxmark_sweep, run_sweep
+from repro.analysis.sweep import (app_point, crash_point, fuzz_point,
+                                  fxmark_point, fxmark_sweep, run_points)
+from repro.crash import CRASH_WORKLOADS
+from repro.fuzz import seed_corpus
 from repro.workloads.fxmark import FxmarkConfig
 
 
-def _grid():
+def _fxmark_specs():
     return [FxmarkConfig(kind=kind, op=op, io_size=16384, workers=workers,
                          duration_us=400, warmup_us=100, single_node=True)
             for op in ("write", "read")
@@ -21,25 +27,77 @@ def _grid():
             for workers in (1, 2)]
 
 
+def _app_specs():
+    return [{"kind": kind, "app_name": app, "cores": 2,
+             "duration_us": 4000, "warmup_us": 800}
+            for app in ("snappy", "fileserver")
+            for kind in ("nova", "easyio")]
+
+
+def _crash_specs():
+    # The Table 2 line sweep of all four workloads.
+    return [{"kind": "easyio", "workload": wl, "granularity": "line",
+             "per_signature": 2}
+            for wl in sorted(CRASH_WORKLOADS)]
+
+
+def _fuzz_specs():
+    return [{"tuple": t.to_dict(), "mutant": None}
+            for t in seed_corpus()[:4]]
+
+
+POINTS = {
+    "fxmark": (fxmark_point, _fxmark_specs),
+    "app": (app_point, _app_specs),
+    "crash": (crash_point, _crash_specs),
+    "fuzz": (fuzz_point, _fuzz_specs),
+}
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("run_points started a pool")
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+
+
 class TestSweepDeterminism:
+    @pytest.fixture(scope="class", params=sorted(POINTS))
+    def point(self, request):
+        """(fn, specs, serial results) for one kind of point."""
+        fn, specs = POINTS[request.param]
+        return fn, specs(), run_points(fn, specs(), processes=1)
+
     @pytest.fixture(scope="class")
     def serial(self):
-        return run_sweep(_grid(), processes=1)
+        return run_points(fxmark_point, _fxmark_specs(), processes=1)
 
-    def test_serial_matches_two_workers(self, serial):
-        assert run_sweep(_grid(), processes=2) == serial
+    def test_serial_matches_two_workers(self, point):
+        fn, specs, serial = point
+        assert run_points(fn, specs, processes=2) == serial
+
+    def test_order_is_preserved(self, point):
+        # The pool returns results in spec order, not completion order:
+        # the points are pairwise distinct, so any permutation shows.
+        fn, specs, serial = point
+        assert serial == [fn(spec) for spec in specs]
+        assert len({repr(r) for r in serial}) == len(serial)
+
+    def test_single_spec_spawns_no_pool(self, point, no_pool):
+        fn, specs, serial = point
+        assert run_points(fn, specs[:1], processes=8) == serial[:1]
+
+    def test_empty_specs_return_empty(self, point, no_pool):
+        fn, _specs, _serial = point
+        assert run_points(fn, [], processes=8) == []
 
     def test_serial_matches_four_workers(self, serial):
-        assert run_sweep(_grid(), processes=4) == serial
-
-    def test_order_is_preserved(self, serial):
-        # The summaries come back in config order, not completion order:
-        # identify points by their distinct op counts.
-        direct = [fxmark_point(cfg) for cfg in _grid()]
-        assert direct == serial
+        assert run_points(fxmark_point, _fxmark_specs(),
+                          processes=4) == serial
 
     def test_repeat_runs_are_identical(self, serial):
-        assert run_sweep(_grid(), processes=1) == serial
+        assert run_points(fxmark_point, _fxmark_specs(),
+                          processes=1) == serial
 
 
 class TestSweepApi:
@@ -59,9 +117,10 @@ class TestSweepApi:
         # Payload elision must not move a single number.
         assert elided == plain
 
-    def test_single_point_runs_serially(self):
-        # processes=8 with one config must not spin up a pool.
-        out = run_sweep([FxmarkConfig(kind="nova", duration_us=300,
-                                      warmup_us=100, single_node=True)],
-                        processes=8)
-        assert len(out) == 1 and out[0]["total_ops"] > 0
+    def test_crash_summaries_pass(self):
+        # The crash case's specs are clean line sweeps: every plan of
+        # every workload passes.
+        for summary in run_points(crash_point, _crash_specs()):
+            assert summary["passed"] == summary["total_crash_points"] > 0
+            assert int(summary["raw_states"]) > 0
+            assert summary["failures"] == []
