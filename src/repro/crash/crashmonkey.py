@@ -35,8 +35,8 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from repro.crash import linestream
-from repro.fs.nova import NovaFS
-from repro.fs.pmimage import PMImage, ReplayCursor
+from repro.fs.nova import ROOT_INO, NovaFS
+from repro.fs.pmimage import ELIDED, PMImage, ReplayCursor
 from repro.fs.recovery import (TornLogEntryError,
                                completion_buffer_validator, recover)
 from repro.fs.structures import (PAGE_SIZE, FileKind, TornRecord,
@@ -47,13 +47,23 @@ from repro.workloads.factory import make_fs
 
 Snapshot = Dict[str, Tuple]
 
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
-def _content_hash(fs, m) -> str:
-    """Digest of a file's logical content (from its page index)."""
-    hasher = hashlib.sha1()
-    hasher.update(str(m.size).encode())
-    data = fs._collect_data(m, 0, m.size)
-    hasher.update(data)
+
+def _digest(key: Tuple[int, Tuple]) -> str:
+    """A file's content digest from its :func:`snapshot_with_content`
+    memo key ``(size, page contents)``: sha1 of the decimal size, then
+    of the file's ``size`` bytes, a hole or a page the image does not
+    hold reading as zeros.  The pages are hashed where they lie."""
+    size, contents = key
+    hasher = hashlib.sha1(str(size).encode())
+    last = len(contents) - 1
+    for i, data in enumerate(contents):
+        if data is None or data is ELIDED:
+            data = _ZERO_PAGE
+        take = PAGE_SIZE if i < last else size - last * PAGE_SIZE
+        hasher.update(data if len(data) <= take
+                      else memoryview(data)[:take])
     return hasher.hexdigest()
 
 
@@ -97,12 +107,175 @@ def snapshot_with_content(fs, digests: Optional[dict] = None) -> Snapshot:
                     child.index.get, range(-(-size // PAGE_SIZE))))))
                 digest = memo.get(key)
                 if digest is None:
-                    digest = memo[key] = _content_hash(fs, child)
+                    digest = memo[key] = _digest(key)
                 entry = seen[child_ino] = ("file", size, digest)
             out[path] = entry
 
     walk(0, "")
     return out
+
+
+class OracleRecorder:
+    """The state oracle of one recording run, kept up to date op by op.
+
+    :meth:`record` appends ``(start, end, snapshot)`` to :attr:`oracle`,
+    the snapshot being equal to :func:`snapshot_with_content` of the
+    live filesystem at that instant.  Instead of walking the tree it
+    copies the previous snapshot and recomputes only what can have
+    changed since (DESIGN.md §13 argues why nothing else can):
+
+    * what NovaFS noted in ``fs._oracle_dirty`` while the recorder is
+      attached: the dentries it set or removed, with the subtrees
+      below them, and the inodes whose index, size or links changed;
+    * the files mapping a page the image wrote since the last record:
+      the ``write_page`` records of the recording image's mutation
+      journal, which include DMA landing after its op was recorded.
+
+    The filesystem must be mounted on a recording image
+    (``record=True``).
+    """
+
+    def __init__(self, fs, digests: Optional[dict] = None):
+        if not fs.image.recording:
+            raise ValueError("OracleRecorder needs a recording image")
+        self.fs = fs
+        self.digests = {} if digests is None else digests
+        #: ``(start, end, snapshot after the op)`` per recorded op.
+        self.oracle: List[Tuple[int, int, Snapshot]] = []
+        self._snap: Snapshot = {}
+        #: directory ino -> (its path, its dentries as last recorded).
+        self._dirs: Dict[int, Tuple[str, Dict[str, int]]] = {
+            ROOT_INO: ("", {})}
+        #: file ino -> [entry, page ids its entry read, its paths].
+        self._files: Dict[int, list] = {}
+        #: page id -> inos of the files whose entry read it.
+        self._owners: Dict[int, set] = {}
+        self._seen = len(fs.image.mutations)
+        # The first record enters the names the root holds already.
+        fs._oracle_dirty = {(ROOT_INO, name)
+                            for name in fs.minode(ROOT_INO).dentries}
+
+    def record(self, start: int, end: int) -> None:
+        """Append the post-op state for the op spanning ``[start, end)``."""
+        self.oracle.append((start, end, self._update()))
+
+    def _update(self) -> Snapshot:
+        """The snapshot now: the last one, edited where it changed."""
+        fs = self.fs
+        dirty = fs._oracle_dirty
+        fs._oracle_dirty = set()
+        mutations = fs.image.mutations
+        owners = self._owners
+        for i in range(self._seen, len(mutations)):
+            rec = mutations[i]
+            if rec.op == "write_page":
+                files = owners.get(rec.args[0])
+                if files:
+                    dirty.update(files)
+        self._seen = len(mutations)
+        if not dirty:
+            return self._snap
+        # The previous snapshot belongs to the oracle now: edit a copy.
+        self._snap = dict(self._snap)
+        mem, dirs = fs._mem, self._dirs
+        dentries = [key for key in dirty if isinstance(key, tuple)]
+        # Removals first, all of them: a name moved between two
+        # directories must leave its old path before it is walked in.
+        # An inode is dropped only with its last name, so its paths go
+        # with the names.
+        for ino, name in dentries:
+            known = dirs.get(ino)
+            if known is None:
+                continue
+            path, names = known
+            old = names.get(name)
+            if old is not None and old != _child(mem, ino, name):
+                del names[name]
+                self._drop(f"{path}/{name}", old)
+        for ino, name in dentries:
+            known = dirs.get(ino)
+            if known is None:
+                continue
+            path, names = known
+            child = _child(mem, ino, name)
+            if child is not None and name not in names:
+                names[name] = child
+                self._add(f"{path}/{name}", child)
+        for ino in dirty:
+            known = self._files.get(ino)
+            if known is None:
+                continue
+            entry, pids = self._entry(mem[ino])
+            if pids != known[1]:
+                self._map(ino, known[1], pids)
+            if entry != known[0]:
+                for path in known[2]:
+                    self._snap[path] = entry
+            known[0], known[1] = entry, pids
+        return self._snap
+
+    def _entry(self, m) -> Tuple[Tuple, Tuple]:
+        """A file's snapshot entry, and the page ids it read (None for
+        a hole), as :func:`snapshot_with_content` computes it."""
+        size = m.size
+        pids = tuple(map(m.index.get, range(-(-size // PAGE_SIZE))))
+        key = (size, tuple(map(self.fs.image.pages.get, pids)))
+        digest = self.digests.get(key)
+        if digest is None:
+            digest = self.digests[key] = _digest(key)
+        return ("file", size, digest), pids
+
+    def _map(self, ino: int, old: Tuple, new: Tuple) -> None:
+        """Move ``ino``'s page ownership from page ids ``old`` to
+        ``new``."""
+        owners = self._owners
+        old, new = set(old), set(new)
+        for pid in old - new:
+            if pid is not None:
+                owners[pid].discard(ino)
+        for pid in new - old:
+            if pid is not None:
+                owners.setdefault(pid, set()).add(ino)
+
+    def _add(self, path: str, ino: int) -> None:
+        """Enter the live subtree of ``ino`` at ``path``."""
+        m = self.fs._mem.get(ino)
+        if m is None:
+            return
+        if m.kind is FileKind.DIR:
+            self._snap[path] = ("dir", 0, None)
+            names = self._dirs[ino] = (path, dict(m.dentries))
+            for name, child in names[1].items():
+                self._add(f"{path}/{name}", child)
+            return
+        known = self._files.get(ino)
+        if known is None:
+            entry, pids = self._entry(m)
+            known = self._files[ino] = [entry, pids, set()]
+            self._map(ino, (), pids)
+        known[2].add(path)
+        self._snap[path] = known[0]
+
+    def _drop(self, path: str, ino: int) -> None:
+        """Remove the subtree of ``ino`` at ``path``."""
+        self._snap.pop(path, None)
+        known = self._dirs.get(ino)
+        if known is not None and known[0] == path:
+            del self._dirs[ino]
+            for name, child in known[1].items():
+                self._drop(f"{path}/{name}", child)
+            return
+        known = self._files.get(ino)
+        if known is not None:
+            known[2].discard(path)
+            if not known[2]:
+                self._map(ino, self._files.pop(ino)[1], ())
+
+
+def _child(mem, ino: int, name: str) -> Optional[int]:
+    """The inode directory ``ino`` names ``name`` now, if any."""
+    m = mem.get(ino)
+    return None if m is None else m.dentries.get(name)
 
 
 def _settle(fs, result):
@@ -394,10 +567,8 @@ def _record_workload(kind: str, driver: Callable, iterations: int,
     if mutant is not None:
         from repro.core.easyio import install_crash_mutant
         install_crash_mutant(fs, mutant)
-    if digests is None:
-        digests = {}
     # oracle[i] = (start_idx, end_idx, snapshot after op i)
-    oracle: List[Tuple[int, int, Snapshot]] = []
+    recorder = OracleRecorder(fs, digests)
 
     def runner():
         start = len(image.mutations)
@@ -411,8 +582,7 @@ def _record_workload(kind: str, driver: Callable, iterations: int,
             if marker is None:
                 break
             end = len(image.mutations)
-            oracle.append((start, end,
-                           snapshot_with_content(fs, digests)))
+            recorder.record(start, end)
             start = end
             if stream is not None:
                 send = stream.position()
@@ -445,7 +615,7 @@ def _record_workload(kind: str, driver: Callable, iterations: int,
                 f"{kind}/{len(problems)} trace-invariant violation(s) "
                 "during crash-test recording:\n"
                 + "\n".join(f"  {v}" for v in problems))
-    return image, oracle
+    return image, recorder.oracle
 
 
 def run_crash_test(kind: str, workload: str, crash_points: int = 1000,

@@ -44,7 +44,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crash.linestream import FenceRec, LineStore, LineStream
+from repro.crash.linestream import FenceRec, LineStream
 
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -52,11 +52,6 @@ _MASK = (1 << 64) - 1
 
 def _mix(seq: int) -> int:
     return ((seq + 1) * _MIX) & _MASK
-
-
-def _mix_column(n: int) -> List[int]:
-    """``_mix(seq)`` for every stream position ``seq < n``."""
-    return [_mix(seq) for seq in range(n)]
 
 
 @dataclass(frozen=True)
@@ -78,13 +73,19 @@ class CrashPlan:
     signature: str = field(compare=False, default="")
 
 
-#: A candidate plan before sampling: the :class:`CrashPlan` fields
-#: ``(point, cls, applied, partials, lo, hi, signature)`` as a tuple.
+#: A candidate plan before sampling, as a tuple: ``(point, cls, how,
+#: seq, seqs, lines, lo, hi, signature)``.  ``how``/``seq``/``seqs``
+#: stand in for the :class:`CrashPlan`'s ``applied`` (see
+#: :func:`_applied`), and ``lines`` (None for no partial store) for
+#: its ``partials``, ``((seq, lines),)``.
 _Cand = Tuple
-_SIG = 6
+_SIG = 8
 #: The plan order, ``(point, cls)``; the sorts are stable, so ties
 #: keep generation order.
 _order = itemgetter(0, 1)
+#: How a candidate's ``applied`` set draws on the flight: none of it,
+#: one store alone, all of it, or all but one store.
+_NONE, _SOLO, _ALL, _DROP = range(4)
 
 
 class CrashPlanner:
@@ -138,64 +139,118 @@ class CrashPlanner:
     def plans(self) -> List[CrashPlan]:
         """Generate, deduplicate, and sample the plan set.
 
-        Candidates are kept as plain ``_Cand`` tuples (the
-        :class:`CrashPlan` fields, in order) until sampling has decided
-        which survive; only those become :class:`CrashPlan` objects.
+        A candidate's dedup key is computed before anything else about
+        it: only a new key builds its signature string, and ``applied``
+        is carried as a recipe (:func:`_applied`) until sampling has
+        decided which candidates survive; only those become
+        :class:`CrashPlan` objects.
         """
-        deduped: Dict[Tuple, _Cand] = {}
+        deduped: Dict[Tuple, Optional[_Cand]] = {}
         self.raw_states = 0
         self.positions = 0
 
         durable_hash = 0      # order-free content hash of the durable set
         n_durable = 0
-        #: In-flight stores by seq; filled in stream order, so the
-        #: values are always in issue order.
-        flight_by_seq: Dict[int, LineStore] = {}
+        #: In-flight stores by seq, in issue order: ``(mix, raw subset
+        #: bits, signature label, representatives beside other stores,
+        #: representatives alone)`` (see :func:`_representatives`).
+        flight: Dict[int, Tuple] = {}
+        #: Fence position -> the in-flight seqs it makes durable.
+        leaving: Dict[int, List[int]] = {}
+        # The flight's mix sum, unreduced: a drop key's sum is this
+        # minus the dropped store's own mix, an exact identity.
+        flight_mix = 0
+        flight_bits = 0       # log2 of the flight's raw subset count
+        #: ``(seq frozenset, signature part)`` of the current flight;
+        #: None once the flight has changed since it was built.
+        shape: Optional[Tuple[frozenset, str]] = None
         cancelled = self.stream.cancelled
         covered_at = self.stream.covered_at
-        records = self.stream.records
-        mix_col = _mix_column(len(records))
+        ends, starts = self._ends, self._starts
 
         def visit(point: int, context: str) -> None:
-            flight = list(flight_by_seq.values())
+            nonlocal shape
             self.positions += 1
-            self.raw_states += _raw_states(flight)
-            lo = bisect_right(self._ends, point)
-            hi = bisect_right(self._starts, point)
-            seqs = list(flight_by_seq)
-            mixes = [mix_col[s] for s in seqs]
-            mix_of = dict(zip(seqs, mixes))
-            total = sum(mixes)
-            flight_sig = ",".join(sorted(f"{r.mech}{'+' if r.dep else ''}"
-                                         for r in flight))
-            for cls, applied, partials, mixsum in \
-                    _candidates_hashed(flight, mix_of, total):
-                key = ((durable_hash + mixsum) & _MASK,
-                       n_durable + len(applied), partials, lo, hi)
+            lo = bisect_right(ends, point)
+            hi = bisect_right(starts, point)
+            base, nd, n = durable_hash, n_durable, len(flight)
+            new = []
+            key = (base, nd, None, None, lo, hi)
+            if key not in deduped:
+                deduped[key] = None
+                new.append((key, "intact", _NONE, None, None))
+            if n:
+                self.raw_states += 1 << flight_bits
+                full = base + flight_mix
+                key = (full & _MASK, nd + n, None, None, lo, hi)
                 if key not in deduped:
-                    deduped[key] = (point, cls, applied, partials, lo, hi,
-                                    f"{context}|{cls}|{flight_sig}")
+                    deduped[key] = None
+                    new.append((key, "flushed", _ALL, None, None))
+                single = n == 1
+                n_rest = nd + n - 1
+                for seq, (mix, _bits, _label, beside, alone) in \
+                        flight.items():
+                    rest = (full - mix) & _MASK
+                    for cls, how, lines in alone if single else beside:
+                        if how == _DROP:
+                            key = (rest, n_rest, lines and seq, lines, lo, hi)
+                        elif how == _SOLO:
+                            key = ((base + mix) & _MASK, nd + 1, None, None,
+                                   lo, hi)
+                        else:
+                            key = (base, nd, lines and seq, lines, lo, hi)
+                        if key not in deduped:
+                            deduped[key] = None
+                            new.append((key, cls, how, seq, lines))
+            if not new:
+                return
+            if shape is None:
+                shape = (frozenset(flight), ",".join(sorted(
+                    v[2] for v in flight.values())))
+            seqs, flight_sig = shape
+            for key, cls, how, seq, lines in new:
+                deduped[key] = (point, cls, how, seq, seqs, lines, lo, hi,
+                                f"{context}|{cls}|{flight_sig}")
 
-        for idx, rec in enumerate(records):
+        for idx, rec in enumerate(self.stream.records):
             if isinstance(rec, FenceRec):
                 visit(idx, rec.label)
                 # The stores this fence makes durable leave the flight.
-                done = [s for s in flight_by_seq if covered_at[s] == idx]
+                done = leaving.pop(idx, ())
                 for s in done:
-                    del flight_by_seq[s]
-                    durable_hash = (durable_hash + mix_col[s]) & _MASK
-                n_durable += len(done)
+                    mix, bits = flight.pop(s)[:2]
+                    flight_mix -= mix
+                    flight_bits -= bits
+                    durable_hash = (durable_hash + mix) & _MASK
+                if done:
+                    n_durable += len(done)
+                    shape = None
             elif idx in cancelled:
                 continue
             elif rec.immediate:
                 visit(idx, f"pre:{rec.mech}")
-                durable_hash = (durable_hash + mix_col[idx]) & _MASK
+                durable_hash = (durable_hash + _mix(idx)) & _MASK
                 n_durable += 1
             else:
-                flight_by_seq[idx] = rec
-        visit(len(records), "end")
+                mix = _mix(idx)
+                # An atomic store lands or not: 2 raw states; any other
+                # store, every subset of its lines.
+                bits = 1 if rec.klass == "atomic" else rec.nlines
+                flight[idx] = (mix, bits,
+                               rec.mech + "+" if rec.dep else rec.mech,
+                               *_representatives(rec.mech, rec.klass,
+                                                 rec.nlines))
+                leaving.setdefault(covered_at[idx], []).append(idx)
+                flight_mix += mix
+                flight_bits += bits
+                shape = None
+        visit(len(self.stream.records), "end")
 
-        chosen = [CrashPlan(*c) for c in self._sample(list(deduped.values()))]
+        chosen = [CrashPlan(point, cls, _applied(how, seq, seqs),
+                            () if lines is None else ((seq, lines),),
+                            lo, hi, sig)
+                  for point, cls, how, seq, seqs, lines, lo, hi, sig
+                  in self._sample(list(deduped.values()))]
         self.plan_classes = {}
         for p in chosen:
             self.plan_classes[p.cls] = self.plan_classes.get(p.cls, 0) + 1
@@ -246,45 +301,39 @@ class CrashPlanner:
         return kept
 
 
-def _raw_states(flight: List[LineStore]) -> int:
-    """The 2^lines subset count this position's plans collapse."""
-    raw = 1
-    for r in flight:
-        raw *= 2 if r.klass == "atomic" else (1 << r.nlines)
-    return raw if flight else 0
+@lru_cache(maxsize=None)
+def _representatives(mech: str, klass: str, nlines: int) -> Tuple[Tuple,
+                                                                  Tuple]:
+    """One in-flight store's representatives (see the module docstring
+    for the class catalog) as ``(cls, how, landed lines)``, ``lines``
+    None unless the store lands partially; in generation order, beside
+    other in-flight stores and as the only one.  Alone, ``solo`` is the
+    ``flushed`` state and ``torn-solo`` the ``torn`` one, both built
+    first: those duplicates are left out."""
+    solo = (f"solo:{mech}", _SOLO, None)
+    drop = (f"drop:{mech}", _DROP, None)
+    if klass == "record" and nlines > 1:
+        head = tuple(range(max(1, nlines // 2)))
+        torn = (f"torn:{mech}", _DROP, head)
+        return (solo, drop, torn, (f"torn-solo:{mech}", _NONE, head)), \
+            (torn,)
+    shapes: Tuple = ()
+    if klass == "data" and nlines > 1:
+        shapes = tuple((f"{shape}:{mech}", _DROP, lines)
+                       for shape, lines in _data_shapes(nlines))
+    return (solo, drop) + shapes, shapes
 
 
-def _candidates_hashed(flight: List[LineStore], mix_of: Dict[int, int],
-                       total: int):
-    """Yield ``(cls, applied, partials, mixsum)`` representatives for
-    one in-flight set (see the module docstring for the class catalog).
-
-    ``mixsum`` is ``sum(_mix(s) for s in applied)`` computed
-    algebraically from the flight total -- a drop/torn candidate's sum
-    is the total minus the dropped store's own mix, an exact integer
-    identity (subtracting an addend, no modular reduction involved).
-    """
-    iset = frozenset(r.seq for r in flight)
-    none: Tuple = ()
-    yield "intact", frozenset(), none, 0
-    if not flight:
-        return
-    yield "flushed", iset, none, total
-    for r in flight:
-        m = mix_of[r.seq]
-        rest_sum = total - m
-        yield f"solo:{r.mech}", frozenset({r.seq}), none, m
-        if len(flight) > 1:
-            yield f"drop:{r.mech}", iset - {r.seq}, none, rest_sum
-        if r.klass == "record" and r.nlines > 1:
-            head = tuple(range(max(1, r.nlines // 2)))
-            torn = ((r.seq, head),)
-            yield f"torn:{r.mech}", iset - {r.seq}, torn, rest_sum
-            yield f"torn-solo:{r.mech}", frozenset(), torn, 0
-        elif r.klass == "data" and r.nlines > 1:
-            rest = iset - {r.seq}
-            for shape, lines in _data_shapes(r.nlines):
-                yield f"{shape}:{r.mech}", rest, ((r.seq, lines),), rest_sum
+def _applied(how: int, seq: Optional[int], seqs: frozenset) -> frozenset:
+    """A candidate's ``applied`` set from its recipe: ``how`` it draws
+    on the in-flight ``seqs`` (``seq`` is the solo or dropped store)."""
+    if how == _NONE:
+        return frozenset()
+    if how == _SOLO:
+        return frozenset((seq,))
+    if how == _ALL:
+        return seqs
+    return seqs - {seq}
 
 
 @lru_cache(maxsize=None)

@@ -252,6 +252,13 @@ class NovaFS:
 
     name = "NOVA"
 
+    #: The DRAM state changed since an attached oracle recorder last
+    #: looked: inode numbers (index, size or links changed) and
+    #: ``(directory ino, name)`` dentries.  None -- nothing is
+    #: collected -- unless a recorder is attached (see
+    #: :class:`repro.crash.crashmonkey.OracleRecorder`).
+    _oracle_dirty: Optional[set] = None
+
     def __init__(self, platform: Platform, image: Optional[PMImage] = None,
                  elide_payloads: bool = False):
         self.platform = platform
@@ -381,6 +388,7 @@ class NovaFS:
             parent.dentries[name] = ino
             parent.mtime = self.engine.now
             self._mem[ino] = self._fresh_mem(ino, kind, links)
+            self._touch((parent.ino, name))
         finally:
             parent.lock.release_write()
         self.ops_completed += 1
@@ -411,6 +419,7 @@ class NovaFS:
             del parent.dentries[name]
             parent.mtime = self.engine.now
             target.links -= 1
+            self._touch((parent.ino, name), ino)
             if target.links <= 0 or (target.kind is FileKind.DIR
                                      and target.links <= 1):
                 yield from self._drop_inode(ctx, target)
@@ -442,6 +451,7 @@ class NovaFS:
                             mtime=self.engine.now))
             parent.dentries[name] = ino
             target.links += 1
+            self._touch((parent.ino, name), ino)
             yield ctx.charge("metadata", self.model.log_append_cost)
             self.image.put_inode(ino, Inode(ino, target.kind, target.links,
                                             self.engine.now))
@@ -477,15 +487,18 @@ class NovaFS:
                 DentryEntry(dst_name, ino, target.kind, valid=True,
                             mtime=self.engine.now))
             dst_dir.dentries[dst_name] = ino
+            self._touch((dst_dir.ino, dst_name))
             yield from self._append_commit(
                 ctx, src_dir,
                 DentryEntry(src_name, ino, target.kind, valid=False,
                             mtime=self.engine.now))
             del src_dir.dentries[src_name]
+            self._touch((src_dir.ino, src_name))
             self.image.journal_end()
             if replaced is not None and replaced != ino:
                 victim = self.minode(replaced)
                 victim.links -= 1
+                self._touch(replaced)
                 if victim.links <= 0:
                     yield from self._drop_inode(ctx, victim)
         finally:
@@ -518,6 +531,7 @@ class NovaFS:
             self.allocator.free(freed)
             m.size = size
             m.mtime = self.engine.now
+            self._touch(ino)
         finally:
             m.lock.release_write()
         self.ops_completed += 1
@@ -527,6 +541,14 @@ class NovaFS:
         self.allocator.free(list(m.index.values()))
         self.image.drop_inode(m.ino)
         self._mem.pop(m.ino, None)
+
+    def _touch(self, *changed) -> None:
+        """Note inodes or ``(directory ino, name)`` dentries whose DRAM
+        state changed, for an attached oracle recorder.  Call it right
+        after the change, before any scheduling point."""
+        dirty = self._oracle_dirty
+        if dirty is not None:
+            dirty.update(changed)
 
     def _append_commit(self, ctx: OpContext, m: MemInode, entry) :
         """Append one log entry and commit the tail (the durability point)."""
@@ -643,6 +665,10 @@ class NovaFS:
         m.bump_layout_epoch()
         m.size = prep.size_after
         m.mtime = entry.mtime
+        # Inlined _touch: this is the write path.
+        dirty = self._oracle_dirty
+        if dirty is not None:
+            dirty.add(m.ino)
         if free_on is None or free_on.processed:
             self.allocator.free(prep.old_pages)
         else:

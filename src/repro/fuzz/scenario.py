@@ -37,7 +37,8 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.crash.crashmonkey import plan_sweep, snapshot_with_content
+from repro.crash.crashmonkey import (OracleRecorder, plan_sweep,
+                                     snapshot_with_content)
 from repro.fs.nova import DeadlineExceeded, FsError
 from repro.fs.pmimage import PMImage
 # Not called here: plan_sweep recovers.  The name stays importable from
@@ -178,13 +179,13 @@ def run_scenario(t: ScenarioTuple,
     #: Content-keyed digest memo shared by every snapshot of this run.
     digests: dict = {}
     #: (stream_start, stream_end, snapshot) per op (creates = op 0).
-    oracle: List[Tuple[int, int, dict]] = []
+    recorder = OracleRecorder(fs, digests)
+    oracle = recorder.oracle
     inos: List[int] = []
 
     def record_op(sstart: int) -> int:
         send = stream.position() if stream is not None else 0
-        oracle.append((sstart, send,
-                       snapshot_with_content(fs, digests)))
+        recorder.record(sstart, send)
         if stream is not None:
             stream.op_bounds.append((sstart, send))
         return send

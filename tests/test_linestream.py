@@ -462,17 +462,41 @@ PLANNER_DIGEST = ("b39ab0c961320271e5a1300f14573e99"
 def _planner_digest() -> str:
     h = hashlib.sha256()
     for trial in range(30):
-        stream = _synth_stream(random.Random(trial))
-        for per_sig, budget in ((3, None), (None, None), (2, 20)):
-            planner = CrashPlanner(stream, per_signature=per_sig,
-                                   budget=budget, seed=trial)
-            plans = planner.plans()
-            h.update(repr((planner.raw_states, planner.positions, [
-                (p.point, p.cls, sorted(p.applied), p.partials, p.lo,
-                 p.hi, p.signature) for p in plans])).encode())
+        _plans_digest(h, _synth_stream(random.Random(trial)), seed=trial)
+    return h.hexdigest()
+
+
+#: sha256 of every planner output over real recordings: the eight
+#: ``crash_line`` streams (each crash workload on nova and easyio, at
+#: :data:`REAL_ITERATIONS`) under the settings above, recorded before
+#: the planner built its candidates lazily.
+REAL_PLANNER_DIGEST = ("ea7b3fc4870b2f4f75ba8acaa0f7c82f"
+                       "7ed59cfde75e88fadf25c01f093de17f")
+REAL_ITERATIONS = 40
+
+
+def _plans_digest(h, stream, seed: int) -> None:
+    for per_sig, budget in ((3, None), (None, None), (2, 20)):
+        planner = CrashPlanner(stream, per_signature=per_sig,
+                               budget=budget, seed=seed)
+        plans = planner.plans()
+        h.update(repr((planner.raw_states, planner.positions, [
+            (p.point, p.cls, sorted(p.applied), p.partials, p.lo,
+             p.hi, p.signature) for p in plans])).encode())
+
+
+def _real_planner_digest() -> str:
+    h = hashlib.sha256()
+    for workload in CRASH_WORKLOADS:
+        for kind in ("nova", "easyio"):
+            image, _oracle = _record(kind, workload, REAL_ITERATIONS)
+            _plans_digest(h, image.linestream, seed=1)
     return h.hexdigest()
 
 
 class TestPlannerPin:
     def test_plan_lists_match_pinned_digest(self):
         assert _planner_digest() == PLANNER_DIGEST
+
+    def test_real_stream_plans_match_pinned_digest(self):
+        assert _real_planner_digest() == REAL_PLANNER_DIGEST
